@@ -17,6 +17,11 @@ character is always admissible; for a Generic tau nothing else is; for a
 Special tau ``(c_ref, h, k)`` the character must be a rational multiple
 ``r * c_ref`` with ``r * gcd(h, k)`` an integer.
 
+All the counts come from one subset engine: the 2^n index subsets are
+grouped by (size, character) in a DP over the weights, on integer vectors
+over a common denominator, and the groups are hash-joined on a key under
+which two characters join exactly when their sum is admissible.
+
 From the same admissibility data follow the Hodge table, the Froelicher
 degeneration and del-delbar verdicts with explicit witnesses, deformation
 and Albanese counts, and the p-Kaehler classification.  Betti numbers come
@@ -51,6 +56,7 @@ DEFAULT_MAX_N = 16
 MAX_N_ENV_VAR = "NAKAMURA_MAX_N"
 
 IndexSet = Tuple[int, ...]
+IntVector = Tuple[int, ...]  # a character times the spec's common denominator
 
 
 def _enumeration_cap() -> int:
@@ -190,27 +196,86 @@ def generator_form(s: ManifoldSpec, desc: GeneratorDescriptor) -> InvariantForm:
     return body
 
 
+def _integer_weights(s: ManifoldSpec) -> Tuple[int, Tuple[IntVector, ...]]:
+    """``(den, weights)``: the weights as integer vectors over one common
+    denominator, ``lambda_i == weights[i - 1] / den``."""
+    den = math.lcm(*(x.denominator for lam in s.lambdas for x in lam.coords))
+    return den, tuple(
+        tuple(int(x * den) for x in lam.coords) for lam in s.lambdas
+    )
+
+
+def _character(den: int, v: IntVector) -> RationalVector:
+    return RationalVector(Fraction(x, den) for x in v)
+
+
 @lru_cache(maxsize=64)
 def _subset_groups(s: ManifoldSpec):
     """Group the 2^n index subsets by (size, character sum).
 
-    Returns ``{(size, char): (count, lexmin_subset)}``; enumeration is in
-    lexicographic order within each size so the stored representative is the
-    least subset realizing that (size, character) pair.
+    Returns ``(den, groups)`` with ``groups[(size, v)] = (count, lexmin)``:
+    ``v`` is the character sum as an integer vector over the common
+    denominator ``den`` of :func:`_integer_weights`, ``count`` the number of
+    subsets in the group and ``lexmin`` the lexicographically least of them.
+    Built by a DP that adds one weight at a time: adding weight ``i`` moves
+    a copy of every group ``(size, v)`` to ``(size + 1, v + w_i)``, where
+    the least new subset is ``rep + (i,)``, so a group that also keeps old
+    subsets has the witness ``min(old_rep, rep + (i,))``.
     """
-    groups: Dict[Tuple[int, RationalVector], Tuple[int, IndexSet]] = {}
-    for size in range(s.n + 1):
-        for subset in itertools.combinations(range(1, s.n + 1), size):
-            total = RationalVector.zero(s.basis_dim)
-            for i in subset:
-                total = total + s.lambdas[i - 1]
-            key = (size, total)
-            if key in groups:
-                count, rep = groups[key]
-                groups[key] = (count + 1, rep)
+    den, weights = _integer_weights(s)
+    groups: Dict[Tuple[int, IntVector], Tuple[int, IndexSet]] = {
+        (0, (0,) * s.basis_dim): (1, ())
+    }
+    for i, w in enumerate(weights, start=1):
+        grown = dict(groups)
+        for (size, v), (count, rep) in groups.items():
+            key = (size + 1, tuple(a + b for a, b in zip(v, w)))
+            subset = rep + (i,)
+            if key in grown:
+                old_count, old_rep = grown[key]
+                grown[key] = (old_count + count, min(old_rep, subset))
             else:
-                groups[key] = (1, subset)
-    return groups
+                grown[key] = (count, subset)
+        groups = grown
+    return den, groups
+
+
+def _admissibility_keys(s: ManifoldSpec, den: int):
+    """Hash-join keys for admissibility of integer character vectors.
+
+    Returns ``(key, partner)`` with ``key(b) == partner(a)`` exactly when
+    the character ``(a + b) / den`` is admissible.  Under Generic tau only
+    zero is, so the key is the vector and the partner its negative.  Under
+    ``Special(c_ref, h, k)`` write ``c_ref = rho / L`` with ``rho`` integer
+    and pivot ``p`` its first nonzero coordinate, as in
+    :func:`qvec_proportionality`.  The sum is a multiple ``r * c_ref`` exactly
+    when the residues ``rho[p] * v - v[p] * rho`` of the two vectors cancel,
+    and then ``r = L * (a[p] + b[p]) / (den * rho[p])``; ``r * gcd(h, k)`` is
+    an integer exactly when the residues of ``gcd(h, k) * L * v[p]`` modulo
+    ``|den * rho[p]|``, the fractional parts of ``gcd(h, k) * r``, cancel.
+    """
+    if s.tau.is_generic():
+        return (lambda v: v), (lambda v: tuple(-x for x in v))
+    c_ref = s.tau.c_ref
+    lcm = math.lcm(*(x.denominator for x in c_ref.coords))
+    rho = tuple(int(x * lcm) for x in c_ref.coords)
+    pivot = next(j for j, x in enumerate(rho) if x != 0)
+    scale = math.gcd(s.tau.h, s.tau.k) * lcm
+    modulus = abs(den * rho[pivot])
+
+    def residue(v: IntVector) -> IntVector:
+        return tuple(rho[pivot] * x - v[pivot] * y for x, y in zip(v, rho))
+
+    def key(v: IntVector):
+        return residue(v), scale * v[pivot] % modulus
+
+    def partner(v: IntVector):
+        return (
+            tuple(-x for x in residue(v)),
+            -scale * v[pivot] % modulus,
+        )
+
+    return key, partner
 
 
 @lru_cache(maxsize=64)
@@ -218,37 +283,29 @@ def _admissible_pair_data(s: ManifoldSpec):
     """Counts of admissible (I, J) pairs by sizes, plus witness data.
 
     Returns ``(counts, witnesses)`` where ``counts[(a, b)]`` is the number of
-    admissible pairs with ``|I| = a, |J| = b`` and ``witnesses[char]`` is
-    ``(order_key, I, J)`` for the earliest pair realizing each admissible
-    character, in the order (total size, |J|, I, J).
+    admissible pairs with ``|I| = a, |J| = b`` (absent when there are none)
+    and ``witnesses[char]`` is ``(order_key, I, J)`` for the earliest pair
+    realizing each admissible character, in the order (total size, |J|, I,
+    J).  A hash join of the subset groups on :func:`_admissibility_keys`:
+    each group meets only the groups it forms an admissible pair with.
     """
-    groups = _subset_groups(s)
-    adm_memo: Dict[RationalVector, bool] = {}
-
-    def admissible(c: RationalVector) -> bool:
-        if c not in adm_memo:
-            adm_memo[c] = is_admissible(s, c)
-        return adm_memo[c]
+    den, groups = _subset_groups(s)
+    key, partner = _admissibility_keys(s, den)
+    by_key: Dict[object, list] = {}
+    for (size, v), (count, rep) in groups.items():
+        by_key.setdefault(key(v), []).append((size, v, count, rep))
 
     counts: Dict[Tuple[int, int], int] = {}
-    witnesses: Dict[RationalVector, Tuple[tuple, IndexSet, IndexSet]] = {}
-    for (sa, ca), (cnt_a, rep_a) in groups.items():
-        for (sb, cb), (cnt_b, rep_b) in groups.items():
-            c = ca + cb
-            if not admissible(c):
-                continue
+    best: Dict[IntVector, Tuple[tuple, IndexSet, IndexSet]] = {}
+    for (sa, va), (cnt_a, rep_a) in groups.items():
+        for sb, vb, cnt_b, rep_b in by_key.get(partner(va), ()):
             counts[(sa, sb)] = counts.get((sa, sb), 0) + cnt_a * cnt_b
-            key = (sa + sb, sb, rep_a, rep_b)
-            if c not in witnesses or key < witnesses[c][0]:
-                witnesses[c] = (key, rep_a, rep_b)
+            c = tuple(x + y for x, y in zip(va, vb))
+            order = (sa + sb, sb, rep_a, rep_b)
+            if c not in best or order < best[c][0]:
+                best[c] = (order, rep_a, rep_b)
+    witnesses = {_character(den, c): found for c, found in best.items()}
     return counts, witnesses
-
-
-def _pair_count(s: ManifoldSpec, a: int, b: int) -> int:
-    if a < 0 or b < 0 or a > s.n or b > s.n:
-        return 0
-    counts, _ = _admissible_pair_data(s)
-    return counts.get((a, b), 0)
 
 
 def dolbeault_generators(
@@ -257,23 +314,40 @@ def dolbeault_generators(
     """All admissible generators of bidegree (p, q), deterministically ordered.
 
     Family order Plain, Phi0, PhiBar0, Both; inside a family the index sets
-    are lexicographic.
+    are lexicographic.  Each family joins the subsets of its two sizes on
+    :func:`_admissibility_keys`, so no pair is tested one by one.
     """
     require_valid(s)
     _check_enumeration_size(s)
     if not (0 <= p <= s.n + 1 and 0 <= q <= s.n + 1):
         raise SpecError(f"bidegree ({p}, {q}) outside 0..{s.n + 1}")
+    den, weights = _integer_weights(s)
+    key, partner = _admissibility_keys(s, den)
+
+    def subset_sums(size: int) -> Iterable[Tuple[IndexSet, IntVector]]:
+        for subset in itertools.combinations(range(1, s.n + 1), size):
+            total = [0] * s.basis_dim
+            for i in subset:
+                for j, x in enumerate(weights[i - 1]):
+                    total[j] += x
+            yield subset, tuple(total)
+
+    characters: Dict[IntVector, RationalVector] = {}
     out: List[GeneratorDescriptor] = []
     for family in (Family.PLAIN, Family.PHI0, Family.PHIBAR0, Family.BOTH):
         dp, dq = _FAMILY_OFFSETS[family]
         size_i, size_j = p - dp, q - dq
         if size_i < 0 or size_j < 0 or size_i > s.n or size_j > s.n:
             continue
-        for I in itertools.combinations(range(1, s.n + 1), size_i):
-            for J in itertools.combinations(range(1, s.n + 1), size_j):
-                c = character_of(s, I, J)
-                if is_admissible(s, c):
-                    out.append(GeneratorDescriptor(family, I, J, c))
+        by_key: Dict[object, list] = {}
+        for J, vj in subset_sums(size_j):
+            by_key.setdefault(key(vj), []).append((J, vj))
+        for I, vi in subset_sums(size_i):
+            for J, vj in by_key.get(partner(vi), ()):
+                c = tuple(x + y for x, y in zip(vi, vj))
+                if c not in characters:
+                    characters[c] = _character(den, c)
+                out.append(GeneratorDescriptor(family, I, J, characters[c]))
     return out
 
 
@@ -347,12 +421,13 @@ def hodge_table(s: ManifoldSpec) -> HodgeTable:
     require_valid(s)
     _check_enumeration_size(s)
     top = s.n + 1
+    counts, _ = _admissible_pair_data(s)
     entries = tuple(
         tuple(
-            _pair_count(s, p, q)
-            + _pair_count(s, p - 1, q)
-            + _pair_count(s, p, q - 1)
-            + _pair_count(s, p - 1, q - 1)
+            counts.get((p, q), 0)
+            + counts.get((p - 1, q), 0)
+            + counts.get((p, q - 1), 0)
+            + counts.get((p - 1, q - 1), 0)
             for q in range(top + 1)
         )
         for p in range(top + 1)
@@ -431,15 +506,19 @@ def betti_numbers(s: ManifoldSpec) -> Tuple[int, ...]:
 
     ``Z(j)`` counts pairs of index subsets with total size ``j`` whose weight
     sum vanishes; then ``b_k = Z(k) + 2 Z(k-1) + Z(k-2)``, the two middle
-    copies coming from the two extra flat directions.
+    copies coming from the two extra flat directions.  The pairs come from
+    joining each subset group with the groups of the opposite vector.
     """
     require_valid(s)
     _check_enumeration_size(s)
-    groups = _subset_groups(s)
+    _, groups = _subset_groups(s)
+    by_vector: Dict[IntVector, List[Tuple[int, int]]] = {}
+    for (size, v), (count, _) in groups.items():
+        by_vector.setdefault(v, []).append((size, count))
     z = [0] * (2 * s.n + 1)
-    for (sa, ca), (cnt_a, _) in groups.items():
-        for (sb, cb), (cnt_b, _) in groups.items():
-            if (ca + cb).is_zero():
+    for v, sized in by_vector.items():
+        for sb, cnt_b in by_vector.get(tuple(-x for x in v), ()):
+            for sa, cnt_a in sized:
                 z[sa + sb] += cnt_a * cnt_b
 
     def z_at(j: int) -> int:
@@ -497,7 +576,7 @@ def _ce_differential_matrices(s: ManifoldSpec):
                 pos_sign = -1 if pos % 2 else 1
                 for pair, coeff in one_form_d[g].items():
                     rest = mono[:pos] + mono[pos + 1:]
-                    merged = _merge_int_monomials(pair, rest)
+                    merged = forms._wedge_monomials(pair, rest)
                     if merged is None:
                         continue
                     sign, new_mono = merged
@@ -511,27 +590,6 @@ def _ce_differential_matrices(s: ManifoldSpec):
                         entries[(row, col)] = total
         matrices.append((len(basis_next), len(basis_k), entries))
     return matrices
-
-
-def _merge_int_monomials(m1, m2):
-    out = []
-    sign = 1
-    i = j = 0
-    m1, m2 = tuple(m1), tuple(m2)
-    while i < len(m1) and j < len(m2):
-        if m1[i] == m2[j]:
-            return None
-        if m1[i] < m2[j]:
-            out.append(m1[i])
-            i += 1
-        else:
-            if (len(m1) - i) % 2:
-                sign = -sign
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return sign, tuple(out)
 
 
 def ce_betti_oracle(s: ManifoldSpec) -> Tuple[int, ...]:
@@ -682,11 +740,12 @@ def deformation_dimension(s: ManifoldSpec) -> DeformationReport:
     require_valid(s)
     _check_enumeration_size(s)
     n = s.n
+    counts, _ = _admissible_pair_data(s)
     h1n = (
-        _pair_count(s, 1, n)
-        + _pair_count(s, 0, n)
-        + _pair_count(s, 1, n - 1)
-        + _pair_count(s, 0, n - 1)
+        counts.get((1, n), 0)
+        + counts.get((0, n), 0)
+        + counts.get((1, n - 1), 0)
+        + counts.get((0, n - 1), 0)
     )
     unobstructed = bool(ddbar_lemma(s))
     closed_form = None
@@ -773,7 +832,9 @@ def pkahler_status(s: ManifoldSpec, p: int) -> PKahlerReport:
     ``I`` of ``n - p`` indices with nonvanishing weight sum yields
     ``theta = phi0 ^ phi^I`` transverse with d-exact real form, which forbids
     a p-Kaehler structure.  ``p = n`` succeeds through the balanced metric
-    form and ``p = n+1`` through the volume form.
+    form and ``p = n+1`` through the volume form.  Both powers of the
+    balanced form come from the closed form :func:`forms.balanced_power`,
+    and their closedness is still checked through ``forms.d``.
     """
     require_valid(s)
     _check_enumeration_size(s)
@@ -783,14 +844,14 @@ def pkahler_status(s: ManifoldSpec, p: int) -> PKahlerReport:
     if s.is_torus():
         return PKahlerReport(status=PKahlerStatus.TORUS_ALL_P, p=p)
     if p == n + 1:
-        volume = forms.form_power(forms.balanced_omega(s), n + 1)
+        volume = forms.balanced_power(s, n + 1)
         assert not volume.is_zero() and forms.d(volume).is_zero()
         return PKahlerReport(
             status=PKahlerStatus.P_KAHLER, p=p, witness=volume
         )
     if p == n:
         omega = forms.balanced_omega(s)
-        top = forms.form_power(omega, n)
+        top = forms.balanced_power(s, n)
         assert forms.d(top).is_zero()
         return PKahlerReport(status=PKahlerStatus.P_KAHLER, p=p, witness=omega)
 

@@ -31,6 +31,8 @@ zero on the nose, a fact the test suite checks on random forms.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -334,10 +336,12 @@ def _derivation(form: InvariantForm, gen_rule, func_gen, func_scale) -> Invarian
 
     ``gen_rule(spec, g)`` gives the differential of a single generator;
     ``func_gen`` is the one-form generator produced by differentiating
-    ``f_c`` and ``func_scale(c_poly)`` its polynomial factor.
+    ``f_c`` and ``func_scale(c_poly)`` its polynomial factor.  Each
+    generator's rule is computed once per call.
     """
     spec = form.spec
     out: dict[TermKey, Poly] = {}
+    rules: dict[Generator, list] = {}
 
     def add(char, mono, coeff):
         key = (char, mono)
@@ -357,7 +361,9 @@ def _derivation(form: InvariantForm, gen_rule, func_gen, func_scale) -> Invarian
             prefix = mono[:pos]
             suffix = mono[pos + 1:]
             pos_sign = -1 if pos % 2 else 1
-            for piece_coeff, piece_mono in gen_rule(spec, g):
+            if g not in rules:
+                rules[g] = gen_rule(spec, g)
+            for piece_coeff, piece_mono in rules[g]:
                 first = _wedge_monomials(piece_mono, suffix)
                 if first is None:
                     continue
@@ -446,8 +452,34 @@ def balanced_omega(spec: ManifoldSpec) -> InvariantForm:
     return total
 
 
+def balanced_power(spec: ManifoldSpec, k: int) -> InvariantForm:
+    """The wedge power ``omega ** k`` of :func:`balanced_omega`, in closed form.
+
+    The two-forms ``phi_i ^ phibar_i`` commute and square to zero, so
+
+        omega ** k = k! * (-1) ** (k (k - 1) / 2) * sum over |S| = k of
+                     phi^S ^ phibar^S
+
+    with ``S`` running over the k-subsets of ``{0 .. n}``: the ``k!`` counts
+    the orders of the factors and the sign sorts every ``phi`` ahead of every
+    ``phibar``.  Built directly, one constant term per subset; it equals
+    ``form_power(balanced_omega(spec), k)`` exactly.
+    """
+    require_valid(spec)
+    if k < 0:
+        raise ValueError("negative wedge powers are not defined")
+    coeff = Poly.constant(math.factorial(k) * (-1) ** (k * (k - 1) // 2))
+    zero_char = RationalVector.zero(spec.basis_dim)
+    return InvariantForm(spec, {
+        (zero_char, tuple((HOLO, i) for i in S) + tuple((ANTI, i) for i in S)):
+            coeff
+        for S in itertools.combinations(range(spec.n + 1), k)
+    })
+
+
 def form_power(form: InvariantForm, exponent: int) -> InvariantForm:
-    """Wedge power with a nonnegative integer exponent."""
+    """Wedge power with a nonnegative integer exponent, by repeated wedges;
+    the general reference for :func:`balanced_power`."""
     if exponent < 0:
         raise ValueError("negative wedge powers are not defined")
     result = InvariantForm.one(form.spec)

@@ -23,7 +23,6 @@ The extra symbol ``q`` is used by the Betti-number oracle for the real ratio
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -334,13 +333,6 @@ class Poly:
 
 
 U = Poly.variable("u")
-
-
-def basis_symbol(j: int) -> Poly:
-    """The polynomial variable for the j-th basis symbol, 1-based."""
-    if j < 1:
-        raise ValueError("basis symbols are numbered from 1")
-    return Poly.variable(f"b{j}")
 
 
 def qvector_poly(v: RationalVector) -> Poly:
@@ -666,9 +658,3 @@ def rank_rational(rows: Sequence[Sequence[Rational]], ncols: int) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def iter_subsets(indices: Sequence[int]) -> Iterator[tuple]:
-    """All subsets of ``indices`` as sorted tuples, sized then lexicographic."""
-    for size in range(len(indices) + 1):
-        yield from itertools.combinations(sorted(indices), size)

@@ -1,7 +1,15 @@
-"""Shared builders for the test suite: canned specs and random generators."""
+"""Shared builders for the test suite: canned specs, random generators, and
+the quadratic subset engine kept as the reference for the hash join."""
 
+import itertools
 from fractions import Fraction
 
+from nakamura.cohomology import (
+    Family,
+    GeneratorDescriptor,
+    character_of,
+    is_admissible,
+)
 from nakamura.forms import ANTI, HOLO, InvariantForm
 from nakamura.model import ManifoldSpec, TauSpec
 from nakamura.scalars import Poly, RationalVector
@@ -106,3 +114,86 @@ def random_form(spec, rng, max_terms=3, degree=None):
         )
         total = total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# the quadratic subset engine, the reference for the hash join (n <= 7)
+# ---------------------------------------------------------------------------
+
+FAMILY_OFFSETS = {
+    Family.PLAIN: (0, 0),
+    Family.PHI0: (1, 0),
+    Family.PHIBAR0: (0, 1),
+    Family.BOTH: (1, 1),
+}
+
+
+def oracle_subset_groups(s):
+    """``{(size, character): (count, lexmin subset)}`` by summing every one
+    of the 2^n subsets, in lexicographic order within each size."""
+    groups = {}
+    for size in range(s.n + 1):
+        for subset in itertools.combinations(range(1, s.n + 1), size):
+            total = RationalVector.zero(s.basis_dim)
+            for i in subset:
+                total = total + s.lambdas[i - 1]
+            key = (size, total)
+            if key in groups:
+                count, rep = groups[key]
+                groups[key] = (count + 1, rep)
+            else:
+                groups[key] = (1, subset)
+    return groups
+
+
+def oracle_pair_data(s):
+    """``(counts, witnesses)`` of admissible pairs, testing every two subset
+    groups against ``is_admissible``."""
+    groups = oracle_subset_groups(s)
+    admissible = {}
+    counts, witnesses = {}, {}
+    for (sa, ca), (cnt_a, rep_a) in groups.items():
+        for (sb, cb), (cnt_b, rep_b) in groups.items():
+            c = ca + cb
+            if c not in admissible:
+                admissible[c] = is_admissible(s, c)
+            if not admissible[c]:
+                continue
+            counts[(sa, sb)] = counts.get((sa, sb), 0) + cnt_a * cnt_b
+            key = (sa + sb, sb, rep_a, rep_b)
+            if c not in witnesses or key < witnesses[c][0]:
+                witnesses[c] = (key, rep_a, rep_b)
+    return counts, witnesses
+
+
+def oracle_betti(s):
+    """Betti numbers from zero-sum pairs of every two subset groups."""
+    groups = oracle_subset_groups(s)
+    z = [0] * (2 * s.n + 1)
+    for (sa, ca), (cnt_a, _) in groups.items():
+        for (sb, cb), (cnt_b, _) in groups.items():
+            if (ca + cb).is_zero():
+                z[sa + sb] += cnt_a * cnt_b
+
+    def z_at(j):
+        return z[j] if 0 <= j < len(z) else 0
+
+    return tuple(
+        z_at(k) + 2 * z_at(k - 1) + z_at(k - 2) for k in range(2 * s.n + 3)
+    )
+
+
+def oracle_dolbeault_generators(s, p, q):
+    """Generators of bidegree (p, q), testing every pair of index sets."""
+    out = []
+    for family in (Family.PLAIN, Family.PHI0, Family.PHIBAR0, Family.BOTH):
+        dp, dq = FAMILY_OFFSETS[family]
+        size_i, size_j = p - dp, q - dq
+        if size_i < 0 or size_j < 0 or size_i > s.n or size_j > s.n:
+            continue
+        for I in itertools.combinations(range(1, s.n + 1), size_i):
+            for J in itertools.combinations(range(1, s.n + 1), size_j):
+                c = character_of(s, I, J)
+                if is_admissible(s, c):
+                    out.append(GeneratorDescriptor(family, I, J, c))
+    return out

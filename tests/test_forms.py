@@ -5,6 +5,7 @@ import pytest
 from nakamura.forms import (
     InvariantForm,
     balanced_omega,
+    balanced_power,
     canonical_psi,
     character_function,
     conjugate,
@@ -24,6 +25,8 @@ from support import (
     random_form,
     random_spec,
     spec_n2_generic,
+    spec_n2_special,
+    spec_n3_mixed,
     torus2,
     vec,
 )
@@ -194,6 +197,18 @@ def test_balanced_omega_top_power_is_closed():
         top = form_power(omega, s.n)
         assert not top.is_zero()
         assert d(top).is_zero()
+
+
+def test_balanced_power_matches_repeated_wedges():
+    rng = random.Random(37)
+    specs = [spec_n2_generic(), spec_n2_special(), torus2(), spec_n3_mixed()]
+    specs += [random_spec(rng, max_n=6) for _ in range(8)]
+    for s in specs:
+        omega = balanced_omega(s)
+        for k in range(s.n + 2):
+            assert balanced_power(s, k) == form_power(omega, k)
+    with pytest.raises(ValueError):
+        balanced_power(spec_n2_generic(), -1)
 
 
 def test_forms_from_different_specs_do_not_mix():
