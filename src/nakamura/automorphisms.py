@@ -8,9 +8,9 @@ the translation part ``h = x1 + tau * x2`` must satisfy
 ``(I - M) x1, (I - M) x2`` integral, and each exponential summand of ``E``
 exists only for the matching mode parameters ``(m, k)`` of the tau
 parameter.  This module verifies candidate lifts, conjugates lattice
-elements by them, enumerates intertwiners by exhaustive search, classifies
-the translation part modulo the lattice, and solves for the exponential
-modes.
+elements by them, enumerates bounded intertwiners on the lattice of
+solutions of the intertwining condition, classifies the translation part
+modulo the lattice, and solves for the exponential modes.
 
 Everything here requires a spec with lattice data and entirely nonzero
 weight vectors; specs with a zero weight are rejected.
@@ -18,7 +18,6 @@ weight vectors; specs with a zero weight are rejected.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -372,6 +371,61 @@ def h_coset_group(s: ManifoldSpec) -> CosetGroup:
     )
 
 
+def _row_echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
+    """Row echelon form with positive pivots, by unimodular row operations.
+
+    Returns ``(pivot column, row)`` pairs with strictly increasing pivot
+    columns; each row is zero before its pivot.  The rows span the same
+    lattice as the input rows.
+    """
+    out = []
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        live = [r for r in rows if r[col] != 0]
+        if not live:
+            continue
+        rows = [r for r in rows if r[col] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            head, rest = live[0], []
+            for r in live[1:]:
+                q = r[col] // head[col]
+                r = [x - q * y for x, y in zip(r, head)]
+                (rest if r[col] != 0 else rows).append(r)
+            live = [head] + rest
+        head = live[0]
+        out.append((col, head if head[col] > 0 else [-x for x in head]))
+    return out
+
+
+def _commutant_lattice(
+    m: IntMatrix, m_t: IntMatrix
+) -> List[Tuple[int, List[int]]]:
+    """The integer solutions of ``M^t A = A M`` with ``A`` flattened
+    row-major, as an echelon basis (see :func:`_row_echelon`).
+
+    The columns of ``V`` at the zero diagonal entries of the Smith normal
+    form ``U C V = D`` of the n^2 x n^2 coefficient matrix ``C`` span the
+    kernel of ``C`` over the integers, not only over the rationals.
+    """
+    n = m.nrows
+    coeffs = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for k in range(n):
+            row = coeffs[i * n + k]
+            for j in range(n):
+                row[j * n + k] += m_t.entries[i][j]
+                row[i * n + j] -= m.entries[j][k]
+    _, diag, v = smith_normal_form(IntMatrix(coeffs))
+    return _row_echelon(
+        [
+            [v.entries[r][c] for r in range(n * n)]
+            for c in range(n * n)
+            if diag.entries[c][c] == 0
+        ]
+    )
+
+
 def commutant_search(
     s: ManifoldSpec,
     t: int,
@@ -380,14 +434,23 @@ def commutant_search(
 ) -> List[IntMatrix]:
     """All unimodular intertwiners with entries bounded by ``bound``.
 
-    Enumerates every integer matrix with ``|entry| <= bound`` in
-    lexicographic order (row-major, each entry ascending) and keeps those
-    with ``M^t A' = A' M`` and determinant ``1`` or ``-1``.  The state
-    count ``(2*bound + 1) ** (n*n)`` must not exceed ``max_states``.
+    Returns every integer matrix ``A'`` with ``|entry| <= bound``,
+    ``M^t A' = A' M`` and determinant ``1`` or ``-1``, in lexicographic
+    order (row-major, each entry ascending).  The solutions of the linear
+    condition form a lattice; its basis in row echelon form with positive
+    pivots comes from the Smith normal form of the coefficient matrix.
+    A backtracking search steps each basis coefficient in ascending order
+    over the range that keeps its pivot entry within the bound, and prunes
+    as soon as an entry fixed by the coefficients chosen so far leaves it,
+    so the work is about ``(2*bound + 1) ** rank``; ascending pivots give
+    the lexicographic order directly.  The cap still counts the whole box:
+    ``(2*bound + 1) ** (n*n)`` must not exceed ``max_states``.
     """
     m = _require_automorphism_context(s)
-    if t not in (1, -1):
+    if isinstance(t, bool) or not isinstance(t, int) or t not in (1, -1):
         raise SpecError(f"t must be 1 or -1, got {t}")
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise SpecError(f"bound must be an integer, got {bound!r}")
     if bound < 0:
         raise SpecError("bound must be nonnegative")
     n = m.nrows
@@ -398,15 +461,29 @@ def commutant_search(
             "lower the bound or raise max_states"
         )
     m_t = m if t == 1 else m.inverse_unimodular()
+    basis = _commutant_lattice(m, m_t)
+    # entries from a pivot up to the next pivot depend only on the
+    # coefficients of the rows down to that pivot's row
+    ends = [col for col, _ in basis[1:]] + [n * n]
     results: List[IntMatrix] = []
-    entry_range = range(-bound, bound + 1)
-    for flat in itertools.product(entry_range, repeat=n * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        candidate = IntMatrix(rows)
-        if candidate.det() not in (1, -1):
-            continue
-        if m_t @ candidate == candidate @ m:
-            results.append(candidate)
+
+    def descend(level: int, x: List[int]) -> None:
+        if level == len(basis):
+            candidate = IntMatrix([x[i * n : (i + 1) * n] for i in range(n)])
+            if candidate.det() in (1, -1):
+                assert m_t @ candidate == candidate @ m
+                results.append(candidate)
+            return
+        col, row = basis[level]
+        pivot = row[col]
+        low = -((bound + x[col]) // pivot)
+        high = (bound - x[col]) // pivot
+        for c in range(low, high + 1):
+            y = [a + c * b for a, b in zip(x, row)]
+            if all(-bound <= v <= bound for v in y[col + 1 : ends[level]]):
+                descend(level + 1, y)
+
+    descend(0, [0] * (n * n))
     return results
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "EigenReport",
     "analyze_integer_matrix",
     "build_spec",
-    "verify_lattice_preserved",
     "specs_isomorphic",
 ]
 
@@ -704,25 +703,6 @@ def build_spec(
     )
     require_valid(spec)
     return spec
-
-
-def verify_lattice_preserved(m, a1: int) -> bool:
-    """Confirm that the ``a1``-th power of the matrix has integer entries.
-
-    For a unimodular integer matrix every integer power, negative powers
-    included, is again an integer matrix, which is exactly what makes the
-    lattice invariant under the twisted translation indexed by ``a1``.  The
-    computation is carried out rather than assumed, so the return value is a
-    checked fact, not a tautology.
-    """
-    matrix = _coerce_matrix(m)
-    det = matrix.det()
-    if det != 1:
-        raise SpecError(f"matrix determinant is {det}, expected 1")
-    power = matrix**a1
-    return all(
-        isinstance(entry, int) for row in power.entries for entry in row
-    )
 
 
 def specs_isomorphic(s1: ManifoldSpec, s2: ManifoldSpec) -> bool:

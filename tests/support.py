@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: canned specs, random generators, and
-the quadratic subset engine kept as the reference for the hash join."""
+"""Shared builders for the test suite: canned specs, random generators, the
+quadratic subset engine kept as the reference for the hash join, and the
+brute-force commutant search kept as the reference for the lattice search."""
 
 import itertools
 from fractions import Fraction
@@ -12,7 +13,7 @@ from nakamura.cohomology import (
 )
 from nakamura.forms import ANTI, HOLO, InvariantForm
 from nakamura.model import ManifoldSpec, TauSpec
-from nakamura.scalars import Poly, RationalVector
+from nakamura.scalars import IntMatrix, Poly, RationalVector
 
 
 def vec(*coords):
@@ -28,6 +29,19 @@ def make_spec(lambdas, tau=None, basis_dim=None, lattice=None):
         tau=tau if tau is not None else TauSpec.generic(),
         lattice=lattice,
     )
+
+
+def block_diag(*blocks):
+    """The block diagonal matrix of square blocks, as a list of rows."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[offset + i][offset + j] = x
+        offset += len(b)
+    return out
 
 
 def spec_n2_generic():
@@ -197,3 +211,31 @@ def oracle_dolbeault_generators(s, p, q):
                 if is_admissible(s, c):
                     out.append(GeneratorDescriptor(family, I, J, c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the brute-force commutant search, the reference for the lattice search
+# ---------------------------------------------------------------------------
+
+
+def oracle_commutant(m, t, bound):
+    """Every ``A`` with ``|entry| <= bound``, ``M^t A = A M`` and
+    ``det A = +-1``, trying all ``(2 bound + 1)^(n^2)`` integer matrices in
+    row-major lexicographic order."""
+    n = m.nrows
+    left = (m if t == 1 else m.inverse_unimodular()).entries
+    right = m.entries
+    idx = range(n)
+    results = []
+    for flat in itertools.product(range(-bound, bound + 1), repeat=n * n):
+        a = [flat[i * n : (i + 1) * n] for i in idx]
+        if all(
+            sum(left[i][j] * a[j][k] for j in idx)
+            == sum(a[i][j] * right[j][k] for j in idx)
+            for i in idx
+            for k in idx
+        ):
+            candidate = IntMatrix(a)
+            if candidate.det() in (1, -1):
+                results.append(candidate)
+    return results

@@ -17,10 +17,15 @@ from nakamura.automorphisms import (
     verify_candidate,
 )
 from nakamura.construct import build_spec
-from nakamura.model import SpecError, TauSpec
+from nakamura.model import LatticeSpec, SpecError, TauSpec
 from nakamura.scalars import IntMatrix, RationalVector
 
-from support import make_spec, vec
+from support import block_diag, make_spec, oracle_commutant, vec
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # hypothesis is in the test extra; only one test needs it
+    st = None
 
 A = [[2, 1], [1, 1]]
 M3 = [[3, 1], [2, 1]]
@@ -331,6 +336,68 @@ def test_commutant_search_cap():
         commutant_search(a_spec(), 1, bound=3, max_states=100)
     with pytest.raises(SpecError):
         commutant_search(a_spec(), 0, bound=1)
+
+
+@pytest.mark.parametrize("t", [True, 1.0, Fraction(1), "1", None])
+def test_commutant_search_rejects_non_integer_t(t):
+    with pytest.raises(SpecError, match="t must be"):
+        commutant_search(a_spec(), t, bound=1)
+
+
+@pytest.mark.parametrize("bound", [True, 1.5, 2.0, Fraction(1), "1", None])
+def test_commutant_search_rejects_non_integer_bound(bound):
+    with pytest.raises(SpecError, match="bound must be an integer"):
+        commutant_search(a_spec(), 1, bound=bound)
+
+
+if st is not None:
+    # Diagonal blocks of each size: eigenvalue 1, hyperbolic companions of
+    # x^2 - t x + 1, totally real cubic companions of x^3 - a x^2 + b x - 1.
+    BLOCKS = {
+        1: [((1,),)],
+        2: [((0, -1), (1, t)) for t in (3, 4, 5)],
+        3: [((0, 0, 1), (1, 0, -b), (0, 1, a)) for a, b in ((6, 5), (7, 6))],
+    }
+    # (1, 1, 1) conjugates to I only, which an explicit example covers
+    SHAPES = {2: [(1, 1), (2,)], 3: [(1, 2), (2, 1), (3,)]}
+
+    def _lattice_spec(m):
+        """A spec carrying ``m`` as its lattice matrix; the search reads
+        nothing else, so the weights are placeholders (nonzero, balanced)."""
+        n = m.nrows
+        lams = [(1,)] * (n - 1) + [(1 - n,)]
+        return make_spec(lams, lattice=LatticeSpec(matrix=m))
+
+    @st.composite
+    def searches(draw):
+        """``(M, t, bound)``: M a block diagonal of the blocks above (repeats
+        allowed) conjugated by up to three elementary matrices, and a bound
+        of at most 2 for n = 2 and 1 for n = 3."""
+        n = draw(st.sampled_from([2, 3]))
+        shape = draw(st.sampled_from(SHAPES[n]))
+        m = IntMatrix(
+            block_diag(*[draw(st.sampled_from(BLOCKS[k])) for k in shape])
+        )
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            e = [[int(r == s) for s in range(n)] for r in range(n)]
+            e[i][j] = c
+            m = IntMatrix(e) @ m @ IntMatrix(e).inverse_unimodular()
+        return m, draw(st.sampled_from([1, -1])), draw(st.integers(0, 4 - n))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(searches())
+    # the full-rank kernel (M = I) and the rank-0 kernel (a cubic whose
+    # characteristic polynomial is not self-reciprocal has no flip)
+    @example((IntMatrix.identity(2), 1, 2))
+    @example((IntMatrix.identity(3), -1, 1))
+    @example((IntMatrix(BLOCKS[3][0]), -1, 1))
+    def test_commutant_search_matches_brute_force(search):
+        m, t, bound = search
+        assert commutant_search(_lattice_spec(m), t, bound) == (
+            oracle_commutant(m, t, bound)
+        )
 
 
 def test_group_element_validation():

@@ -2,9 +2,10 @@
 
 Every spec command runs on every ``demos/specs/*.json`` document, human and
 ``--json``; ``pkahler`` runs for every p in 1..n+1 and for the out-of-range
-0 and n+2.  The exit code, stdout and stderr must match
-``golden_cli.json`` byte for byte.  Rewrite that file only when an output
-change is intended::
+0 and n+2, and ``aut search`` for both signs t and every bound 0..2.  The
+``tau`` commands run on a fixed set of triples, valid and invalid.  The exit
+code, stdout and stderr must match ``golden_cli.json`` byte for byte.
+Rewrite that file only when an output change is intended::
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
 """
@@ -31,11 +32,32 @@ COMMANDS = (
     ("albanese",),
     ("kodaira",),
     ("characters",),
+    ("aut", "cosets"),
+) + tuple(("aut", "emodes", "--t", t) for t in ("1", "-1")) + tuple(
+    ("aut", "search", "--t", t, "--bound", b)
+    for t in ("1", "-1")
+    for b in ("0", "1", "2")
+)
+TAU_COMMANDS = (
+    ("tau", "canonical", "1", "2", "4"),
+    ("tau", "canonical", "3/2", "1/2", "6", "9"),
+    ("tau", "canonical", "1", "2", "0"),
+    ("tau", "canonical", "1", "x", "1"),
+    ("tau", "canonical", "1", "2"),
+    ("tau", "from-triple", "1", "2", "4"),
+    ("tau", "from-triple", "2", "-1", "3", "5"),
+    ("tau", "from-triple", "1", "1", "-1"),
+    ("tau", "from-triple", "0", "1", "1"),
+    ("tau", "same", "1,0,1", "2,0,2"),
+    ("tau", "same", "1,0,1", "1,1,1"),
+    ("tau", "same", "1,1,2,4", "1/2,1/2,1,2"),
+    ("tau", "same", "1,0,1", "1,2"),
 )
 
 
 def _invocations():
-    """``(key, argv)`` for every command, both output modes, every spec."""
+    """``(key, argv)`` for every command, both output modes, every spec,
+    then the ``tau`` commands in both output modes."""
     for path in SPECS:
         n = json.loads(path.read_text())["n"]
         commands = COMMANDS + tuple(
@@ -46,6 +68,10 @@ def _invocations():
                 args = list(command + mode)
                 key = " ".join(args + [f"demos/specs/{path.name}"])
                 yield key, args + [str(path)]
+    for command in TAU_COMMANDS:
+        for mode in ((), ("--json",)):
+            args = list(command[:2] + mode + command[2:])
+            yield " ".join(args), args
 
 
 def _run(argv):

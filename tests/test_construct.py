@@ -8,28 +8,15 @@ from nakamura.construct import (
     analyze_integer_matrix,
     build_spec,
     specs_isomorphic,
-    verify_lattice_preserved,
 )
 from nakamura.model import SpecError, TauSpec
 from nakamura.scalars import IntMatrix, RationalVector
 
-from support import make_spec, vec
+from support import block_diag, make_spec, vec
 
 
 A = [[2, 1], [1, 1]]  # eigenvalues are the squared golden ratio and its inverse
 A2 = [[5, 3], [3, 2]]  # the square of A
-
-
-def block_diag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[offset + i][offset + j] = x
-        offset += len(b)
-    return out
 
 
 def test_identity_gives_torus_weights():
@@ -168,15 +155,6 @@ def test_build_spec_roundtrip():
 
     with pytest.raises(SpecError):
         build_spec([[2, 0], [0, 1]], TauSpec.generic())
-
-
-def test_verify_lattice_preserved():
-    assert verify_lattice_preserved(A, -1)
-    assert verify_lattice_preserved(A, 0)
-    assert verify_lattice_preserved(A, 5)
-    assert verify_lattice_preserved(IntMatrix.identity(3), -7)
-    with pytest.raises(SpecError):
-        verify_lattice_preserved([[2, 0], [0, 1]], 1)
 
 
 def test_specs_isomorphic():
