@@ -443,8 +443,9 @@ def commutant_search(
     over the range that keeps its pivot entry within the bound, and prunes
     as soon as an entry fixed by the coefficients chosen so far leaves it,
     so the work is about ``(2*bound + 1) ** rank``; ascending pivots give
-    the lexicographic order directly.  The cap still counts the whole box:
-    ``(2*bound + 1) ** (n*n)`` must not exceed ``max_states``.
+    the lexicographic order directly.  The cap counts those lattice points:
+    ``(2*bound + 1) ** rank``, with ``rank`` the rank of the solution
+    lattice, must not exceed ``max_states``.
     """
     m = _require_automorphism_context(s)
     if isinstance(t, bool) or not isinstance(t, int) or t not in (1, -1):
@@ -454,14 +455,14 @@ def commutant_search(
     if bound < 0:
         raise SpecError("bound must be nonnegative")
     n = m.nrows
-    states = (2 * bound + 1) ** (n * n)
-    if states > max_states:
-        raise SpecError(
-            f"search space of {states} matrices exceeds the cap {max_states}; "
-            "lower the bound or raise max_states"
-        )
     m_t = m if t == 1 else m.inverse_unimodular()
     basis = _commutant_lattice(m, m_t)
+    states = (2 * bound + 1) ** len(basis)
+    if states > max_states:
+        raise SpecError(
+            f"search space of {states} lattice points exceeds the cap "
+            f"{max_states}; lower the bound or raise max_states"
+        )
     # entries from a pivot up to the next pivot depend only on the
     # coefficients of the rows down to that pivot's row
     ends = [col for col, _ in basis[1:]] + [n * n]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -681,6 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     from_triple.add_argument("--json", action="store_true")
     from_triple.set_defaults(func=cmd_tau_from_triple)
+    # argparse passes only integers and decimals such as -2 or -0.5 as
+    # values; a fraction such as -3/2, alone or leading a comma list, would
+    # read as an unknown option, and these parsers have no numeric options
+    for triple_parser in (canonical, same, from_triple):
+        triple_parser._negative_number_matcher = re.compile(r"^-\d")
 
     aut_parser = sub.add_parser("aut", help="automorphism lift tools")
     aut_sub = aut_parser.add_subparsers(dest="aut_command", required=True)

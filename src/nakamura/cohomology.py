@@ -48,8 +48,6 @@ from .scalars import (
     Poly,
     RationalVector,
     qvec_proportionality,
-    qvector_poly,
-    rank_rational,
 )
 
 DEFAULT_MAX_N = 16
@@ -529,106 +527,133 @@ def betti_numbers(s: ManifoldSpec) -> Tuple[int, ...]:
     )
 
 
-_ORACLE_PRIMES = (
-    113149, 190787, 194203, 205339, 250643, 256079, 268937, 275999,
-    280187, 282617, 307261, 309797, 345271, 370091, 376729, 404197,
-    409753, 432743, 450787, 459037, 495289, 516563, 534049, 542123,
-    545863, 583903, 596741, 608207, 616367, 657581, 660941, 669611,
-    686891, 693037, 737573, 748717, 774133, 783121, 792377, 796247,
-    811277, 817087, 846113, 874847, 879539, 948749, 978347, 996257,
-)
+_ORACLE_PRIME = (1 << 61) - 1
 
 
-def _ce_differential_matrices(s: ManifoldSpec):
-    """Chevalley-Eilenberg differentials with polynomial entries.
+def _ce_weight_key(mono: IndexSet, weights: Sequence[IntVector]) -> IntVector:
+    """Torus weight of a CE basis monomial: the sum of the integer weights
+    of its generators ``g >= 2`` (``e_i`` and ``f_i`` both weigh
+    ``weights[i - 1]``; ``e0`` and ``f0`` weigh nothing)."""
+    key = [0] * len(weights[0])
+    for g in mono:
+        if g >= 2:
+            for j, x in enumerate(weights[(g - 2) // 2]):
+                key[j] += x
+    return tuple(key)
+
+
+def _ce_weight_blocks(s: ManifoldSpec):
+    """The Chevalley-Eilenberg differentials, split into torus-weight blocks.
 
     Basis of degree one: ``e0, f0, e1, f1, .. , en, fn`` in that order, with
-    ``d(e_i) = -lambda_i (e0 - q f0) ^ e_i`` and likewise for ``f_i``; the
-    symbol ``q`` stands for ``Re(tau)/Im(tau)`` and stays symbolic.  Returns
-    the list of matrices ``d_k`` as ``(rows, cols, {(row, col): Poly})``.
+    ``d(e_i) = -lambda_i (e0 - q f0) ^ e_i`` and likewise for ``f_i``; ``q``
+    stands for ``Re(tau)/Im(tau)``.  The weights are scaled by their common
+    denominator, which scales ``d`` and changes no rank.  Each basis
+    monomial lies in the block of its :func:`_ce_weight_key`; an entry
+    linking two blocks raises ``ArithmeticError``, so the split is checked,
+    not assumed.  Returns ``(k, rows, cols, entries)`` for every block of
+    ``d_k`` with a nonzero entry; ``entries`` lists ``(row, col, nu,
+    with_q)`` for the entry ``nu . b``, times ``q`` when ``with_q``.
     """
     m = 2 * s.n + 2
-    q = Poly.variable("q")
-
-    # d(one-form g) as {two-form monomial: Poly}
-    one_form_d: List[Dict[Tuple[int, int], Poly]] = []
-    for g in range(m):
-        if g < 2:
-            one_form_d.append({})
-            continue
-        lam = qvector_poly(s.lambdas[(g - 2) // 2])
-        if lam.is_zero():
-            one_form_d.append({})
-            continue
-        one_form_d.append({(0, g): -lam, (1, g): lam * q})
-
-    matrices = []
+    _, weights = _integer_weights(s)
+    sizes: Dict[Tuple[int, IntVector], int] = {}
+    place: Dict[IndexSet, Tuple[IntVector, int]] = {}
     for k in range(m + 1):
-        basis_k = list(itertools.combinations(range(m), k))
-        basis_next = {
-            mono: idx
-            for idx, mono in enumerate(itertools.combinations(range(m), k + 1))
-        }
-        index_k = {mono: idx for idx, mono in enumerate(basis_k)}
-        entries: Dict[Tuple[int, int], Poly] = {}
-        for col, mono in enumerate(basis_k):
-            for pos, g in enumerate(mono):
-                pos_sign = -1 if pos % 2 else 1
-                for pair, coeff in one_form_d[g].items():
-                    rest = mono[:pos] + mono[pos + 1:]
-                    merged = forms._wedge_monomials(pair, rest)
-                    if merged is None:
-                        continue
-                    sign, new_mono = merged
-                    row = basis_next[new_mono]
-                    total = entries.get((row, col), Poly()) + (
-                        pos_sign * sign
-                    ) * coeff
-                    if total.is_zero():
-                        entries.pop((row, col), None)
-                    else:
-                        entries[(row, col)] = total
-        matrices.append((len(basis_next), len(basis_k), entries))
-    return matrices
+        for mono in itertools.combinations(range(m), k):
+            key = _ce_weight_key(mono, weights)
+            index = sizes.get((k, key), 0)
+            sizes[(k, key)] = index + 1
+            place[mono] = (key, index)
+
+    entries: Dict[Tuple[int, IntVector], Dict[Tuple[int, int], tuple]] = {}
+    for mono, (key, col) in place.items():
+        k = len(mono)
+        for pos, g in enumerate(mono):
+            lam = weights[(g - 2) // 2] if g >= 2 else ()
+            if not any(lam):
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            for pair, scale, with_q in (((0, g), -1, False), ((1, g), 1, True)):
+                merged = forms._wedge_monomials(pair, rest)
+                if merged is None:
+                    continue
+                sign, row_mono = merged
+                row_key, row = place[row_mono]
+                if row_key != key:
+                    raise ArithmeticError(
+                        f"CE differential entry from {mono} to {row_mono} "
+                        f"links weight blocks {key} and {row_key}"
+                    )
+                coeff = (-1 if pos % 2 else 1) * sign * scale
+                block = entries.setdefault((k, key), {})
+                nu, _ = block.setdefault((row, col), ([0] * len(lam), with_q))
+                for j, x in enumerate(lam):
+                    nu[j] += coeff * x
+    blocks = []
+    for (k, key), block in entries.items():
+        live = [(r, c, nu, w) for (r, c), (nu, w) in block.items() if any(nu)]
+        if live:
+            blocks.append((k, sizes[(k + 1, key)], sizes[(k, key)], live))
+    return blocks
+
+
+def _rank_mod_p(rows: List[List[int]], p: int) -> int:
+    """Rank modulo the prime ``p`` by row reduction; ``rows`` is consumed."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        lead = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+        rank += 1
+    return rank
 
 
 def ce_betti_oracle(s: ManifoldSpec) -> Tuple[int, ...]:
     """Betti numbers recomputed from Chevalley-Eilenberg ranks.
 
     Independent of :func:`betti_numbers`: builds the full exterior-algebra
-    differential over the polynomial ring in ``q`` and the basis symbols,
-    evaluates it at random rational points built from large primes, and takes
-    ranks over the rationals.  The per-degree maximum rank across points is
-    used, and at least three points must agree on the whole rank vector.
+    differential from ``d(g) = -lambda_g (e0 - q f0) ^ g`` and the Leibniz
+    rule, with the weights cleared of denominators, and splits it into
+    blocks by torus weight (the sum of the weights of a monomial's
+    generators).  The split is asserted: an entry linking two blocks raises
+    ``ArithmeticError``, so no block structure is taken on trust and the
+    zero-weight count is never used.  Each block is ranked on its own
+    modulo the prime ``2**61 - 1`` at random integer values of ``q`` and the
+    basis symbols, three points per round for up to eight rounds.  The
+    per-degree maximum rank across points is used, and at least three
+    points must agree on the whole rank vector.
     """
     require_valid(s)
     _check_enumeration_size(s)
-    matrices = _ce_differential_matrices(s)
+    blocks = _ce_weight_blocks(s)
     m = 2 * s.n + 2
-    names = ["q"] + [f"b{j + 1}" for j in range(s.basis_dim)]
+    p = _ORACLE_PRIME
     rng = random.Random(20260822 + 1000 * s.n + s.basis_dim)
 
-    def rank_vector_at(assignment) -> Tuple[int, ...]:
-        ranks = []
-        for rows, cols, entries in matrices:
-            if rows == 0 or cols == 0 or not entries:
-                ranks.append(0)
-                continue
-            dense = [[Fraction(0)] * cols for _ in range(rows)]
-            for (r, c), poly in entries.items():
-                dense[r][c] = poly.evaluate(assignment)
-            ranks.append(rank_rational(dense, cols))
+    def rank_vector_at(q: int, b: Sequence[int]) -> Tuple[int, ...]:
+        ranks = [0] * (m + 1)
+        for k, rows, cols, entries in blocks:
+            dense = [[0] * cols for _ in range(rows)]
+            for r, c, nu, with_q in entries:
+                x = sum(a * y for a, y in zip(nu, b))
+                dense[r][c] = (x * q if with_q else x) % p
+            ranks[k] += _rank_mod_p(dense, p)
         return tuple(ranks)
 
     vectors: List[Tuple[int, ...]] = []
     for _round in range(8):
         for _ in range(3):
-            primes = rng.sample(_ORACLE_PRIMES, 2 * len(names))
-            assignment = {
-                name: Fraction(primes[2 * i], primes[2 * i + 1])
-                for i, name in enumerate(names)
-            }
-            vectors.append(rank_vector_at(assignment))
+            q = rng.randrange(1, p)
+            b = [rng.randrange(1, p) for _ in range(s.basis_dim)]
+            vectors.append(rank_vector_at(q, b))
         best = tuple(max(v[k] for v in vectors) for k in range(m + 1))
         if sum(1 for v in vectors if v == best) >= 3:
             dims = [math.comb(m, k) for k in range(m + 1)]

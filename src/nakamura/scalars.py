@@ -636,25 +636,3 @@ def smith_normal_form(m: IntMatrix) -> tuple:
             u[t] = [-x for x in u[t]]
 
     return IntMatrix(u), IntMatrix(a), IntMatrix(v)
-
-
-def rank_rational(rows: Sequence[Sequence[Rational]], ncols: int) -> int:
-    """Rank over the rationals of a matrix given as an iterable of rows."""
-    work = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        work[rank] = [x / lead for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank

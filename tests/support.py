@@ -1,8 +1,11 @@
 """Shared builders for the test suite: canned specs, random generators, the
-quadratic subset engine kept as the reference for the hash join, and the
-brute-force commutant search kept as the reference for the lattice search."""
+quadratic subset engine kept as the reference for the hash join, the
+brute-force commutant search kept as the reference for the lattice search,
+and the dense rational CE oracle kept as the reference for the modular one."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from nakamura.cohomology import (
@@ -11,9 +14,9 @@ from nakamura.cohomology import (
     character_of,
     is_admissible,
 )
-from nakamura.forms import ANTI, HOLO, InvariantForm
+from nakamura.forms import ANTI, HOLO, InvariantForm, _wedge_monomials
 from nakamura.model import ManifoldSpec, TauSpec
-from nakamura.scalars import IntMatrix, Poly, RationalVector
+from nakamura.scalars import IntMatrix, Poly, RationalVector, qvector_poly
 
 
 def vec(*coords):
@@ -239,3 +242,134 @@ def oracle_commutant(m, t, bound):
             if candidate.det() in (1, -1):
                 results.append(candidate)
     return results
+
+
+# ---------------------------------------------------------------------------
+# the dense rational CE oracle, the reference for the modular block oracle
+# ---------------------------------------------------------------------------
+
+DENSE_ORACLE_PRIMES = (
+    113149, 190787, 194203, 205339, 250643, 256079, 268937, 275999,
+    280187, 282617, 307261, 309797, 345271, 370091, 376729, 404197,
+    409753, 432743, 450787, 459037, 495289, 516563, 534049, 542123,
+    545863, 583903, 596741, 608207, 616367, 657581, 660941, 669611,
+    686891, 693037, 737573, 748717, 774133, 783121, 792377, 796247,
+    811277, 817087, 846113, 874847, 879539, 948749, 978347, 996257,
+)
+
+
+def rank_rational(rows, ncols):
+    """Rank over the rationals of a matrix given as an iterable of rows."""
+    work = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    col = 0
+    while rank < len(work) and col < ncols:
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        lead = work[rank][col]
+        work[rank] = [x / lead for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def dense_ce_differential_matrices(s):
+    """Chevalley-Eilenberg differentials with polynomial entries.
+
+    Basis of degree one: ``e0, f0, e1, f1, .. , en, fn`` in that order, with
+    ``d(e_i) = -lambda_i (e0 - q f0) ^ e_i`` and likewise for ``f_i``; the
+    symbol ``q`` stands for ``Re(tau)/Im(tau)`` and stays symbolic.  Returns
+    the list of matrices ``d_k`` as ``(rows, cols, {(row, col): Poly})``.
+    """
+    m = 2 * s.n + 2
+    q = Poly.variable("q")
+
+    # d(one-form g) as {two-form monomial: Poly}
+    one_form_d = []
+    for g in range(m):
+        if g < 2:
+            one_form_d.append({})
+            continue
+        lam = qvector_poly(s.lambdas[(g - 2) // 2])
+        if lam.is_zero():
+            one_form_d.append({})
+            continue
+        one_form_d.append({(0, g): -lam, (1, g): lam * q})
+
+    matrices = []
+    for k in range(m + 1):
+        basis_k = list(itertools.combinations(range(m), k))
+        basis_next = {
+            mono: idx
+            for idx, mono in enumerate(itertools.combinations(range(m), k + 1))
+        }
+        entries = {}
+        for col, mono in enumerate(basis_k):
+            for pos, g in enumerate(mono):
+                pos_sign = -1 if pos % 2 else 1
+                for pair, coeff in one_form_d[g].items():
+                    rest = mono[:pos] + mono[pos + 1:]
+                    merged = _wedge_monomials(pair, rest)
+                    if merged is None:
+                        continue
+                    sign, new_mono = merged
+                    row = basis_next[new_mono]
+                    total = entries.get((row, col), Poly()) + (
+                        pos_sign * sign
+                    ) * coeff
+                    if total.is_zero():
+                        entries.pop((row, col), None)
+                    else:
+                        entries[(row, col)] = total
+        matrices.append((len(basis_next), len(basis_k), entries))
+    return matrices
+
+
+def oracle_ce_betti_dense(s):
+    """Betti numbers from dense ``Fraction`` ranks of the polynomial CE
+    differentials, evaluated at random rational points built from large
+    primes; the per-degree maximum rank across points is used, and at least
+    three points must agree on the whole rank vector."""
+    matrices = dense_ce_differential_matrices(s)
+    m = 2 * s.n + 2
+    names = ["q"] + [f"b{j + 1}" for j in range(s.basis_dim)]
+    rng = random.Random(20260822 + 1000 * s.n + s.basis_dim)
+
+    def rank_vector_at(assignment):
+        ranks = []
+        for rows, cols, entries in matrices:
+            if rows == 0 or cols == 0 or not entries:
+                ranks.append(0)
+                continue
+            dense = [[Fraction(0)] * cols for _ in range(rows)]
+            for (r, c), poly in entries.items():
+                dense[r][c] = poly.evaluate(assignment)
+            ranks.append(rank_rational(dense, cols))
+        return tuple(ranks)
+
+    vectors = []
+    for _round in range(8):
+        for _ in range(3):
+            primes = rng.sample(DENSE_ORACLE_PRIMES, 2 * len(names))
+            assignment = {
+                name: Fraction(primes[2 * i], primes[2 * i + 1])
+                for i, name in enumerate(names)
+            }
+            vectors.append(rank_vector_at(assignment))
+        best = tuple(max(v[k] for v in vectors) for k in range(m + 1))
+        if sum(1 for v in vectors if v == best) >= 3:
+            dims = [math.comb(m, k) for k in range(m + 1)]
+            return tuple(
+                dims[k] - best[k] - (best[k - 1] if k > 0 else 0)
+                for k in range(m + 1)
+            )
+    raise ArithmeticError(
+        "rank oracle failed to stabilize; evaluation points kept disagreeing"
+    )

@@ -331,11 +331,42 @@ def test_commutant_search_examples():
     assert commutant_search(s, 1, bound=0) == []
 
 
+def _lattice_spec(m):
+    """A spec carrying ``m`` as its lattice matrix; the search reads
+    nothing else, so the weights are placeholders (nonzero, balanced)."""
+    n = m.nrows
+    lams = [(1,)] * (n - 1) + [(1 - n,)]
+    return make_spec(lams, lattice=LatticeSpec(matrix=m))
+
+
+CUBIC = [[0, 0, 1], [1, 0, -5], [0, 1, 6]]  # companion of x^3 - 6x^2 + 5x - 1
+
+
 def test_commutant_search_cap():
+    # A's commutant lattice has rank 2: 7 ** 2 = 49 points at bound 3
     with pytest.raises(SpecError, match="cap"):
-        commutant_search(a_spec(), 1, bound=3, max_states=100)
+        commutant_search(a_spec(), 1, bound=3, max_states=48)
     with pytest.raises(SpecError):
         commutant_search(a_spec(), 0, bound=1)
+
+
+def test_commutant_search_cap_counts_lattice_points():
+    # the box at bound 3 holds 7 ** 9 matrices; the cubic's lattice has rank 3
+    s = _lattice_spec(IntMatrix(CUBIC))
+    found = commutant_search(s, 1, bound=3, max_states=7**3)
+    assert IntMatrix.identity(3) in found
+    assert IntMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) in found
+    with pytest.raises(SpecError, match="cap"):
+        commutant_search(s, 1, bound=3, max_states=7**3 - 1)
+    assert commutant_search(s, 1, bound=3) == found
+
+
+def test_commutant_search_cap_refuses_the_full_box():
+    # every matrix commutes with I, so its lattice is the whole box
+    with pytest.raises(SpecError, match="cap"):
+        commutant_search(
+            _lattice_spec(IntMatrix.identity(3)), 1, bound=1, max_states=3**9 - 1
+        )
 
 
 @pytest.mark.parametrize("t", [True, 1.0, Fraction(1), "1", None])
@@ -360,13 +391,6 @@ if st is not None:
     }
     # (1, 1, 1) conjugates to I only, which an explicit example covers
     SHAPES = {2: [(1, 1), (2,)], 3: [(1, 2), (2, 1), (3,)]}
-
-    def _lattice_spec(m):
-        """A spec carrying ``m`` as its lattice matrix; the search reads
-        nothing else, so the weights are placeholders (nonzero, balanced)."""
-        n = m.nrows
-        lams = [(1,)] * (n - 1) + [(1 - n,)]
-        return make_spec(lams, lattice=LatticeSpec(matrix=m))
 
     @st.composite
     def searches(draw):

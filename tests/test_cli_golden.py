@@ -3,7 +3,8 @@
 Every spec command runs on every ``demos/specs/*.json`` document, human and
 ``--json``; ``pkahler`` runs for every p in 1..n+1 and for the out-of-range
 0 and n+2, and ``aut search`` for both signs t and every bound 0..2.  The
-``tau`` commands run on a fixed set of triples, valid and invalid.  The exit
+``tau`` commands run on a fixed set of triples, valid and invalid, some
+led by a negative fraction.  The exit
 code, stdout and stderr must match ``golden_cli.json`` byte for byte.
 Rewrite that file only when an output change is intended::
 
@@ -44,14 +45,17 @@ TAU_COMMANDS = (
     ("tau", "canonical", "1", "2", "0"),
     ("tau", "canonical", "1", "x", "1"),
     ("tau", "canonical", "1", "2"),
+    ("tau", "canonical", "-3/2", "1", "-2"),
     ("tau", "from-triple", "1", "2", "4"),
     ("tau", "from-triple", "2", "-1", "3", "5"),
     ("tau", "from-triple", "1", "1", "-1"),
     ("tau", "from-triple", "0", "1", "1"),
+    ("tau", "from-triple", "-1/2", "1", "-1"),
     ("tau", "same", "1,0,1", "2,0,2"),
     ("tau", "same", "1,0,1", "1,1,1"),
     ("tau", "same", "1,1,2,4", "1/2,1/2,1,2"),
     ("tau", "same", "1,0,1", "1,2"),
+    ("tau", "same", "-3/2,1,-2", "3,1,2"),
 )
 
 

@@ -11,7 +11,6 @@ from nakamura.scalars import (
     poly_conjugate,
     qvec_proportionality,
     qvector_poly,
-    rank_rational,
     smith_normal_form,
 )
 
@@ -170,10 +169,3 @@ def test_smith_normal_form_random_properties():
         for x in diag:
             prod *= x
         assert prod == abs(m.det())
-
-
-def test_rank_rational():
-    rows = [[1, 2], [2, 4]]
-    assert rank_rational(rows, 2) == 1
-    assert rank_rational([[0, 0], [0, 0]], 2) == 0
-    assert rank_rational([[1, 0], [0, 1]], 2) == 2
