@@ -17,6 +17,7 @@ value ever passes through floating point.
 
 Exit codes: 0 on success, 1 on a domain violation, 2 on an I/O or parse
 error.  Every subcommand accepts ``--json`` for machine-readable output.
+Each command is one row of ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,6 +55,7 @@ from .model import (
     ManifoldSpec,
     SpecError,
     TauSpec,
+    ValidationReport,
     kodaira_dimension,
     validate_spec,
 )
@@ -193,8 +196,11 @@ def _lattice_from_document(raw) -> LatticeSpec:
     if extra:
         raise SpecError(f"unknown lattice fields: {sorted(extra)}")
     matrix = _matrix_from_document(raw["M"], "lattice.M")
+    raw_relations = raw.get("certified_relations", [])
+    if not isinstance(raw_relations, list):
+        raise SpecError("certified_relations must be a list of integer vectors")
     relations = []
-    for rel in raw.get("certified_relations", []):
+    for rel in raw_relations:
         if not isinstance(rel, list):
             raise SpecError("certified_relations must be lists of integers")
         relations.append(
@@ -261,8 +267,11 @@ def candidate_from_document(doc) -> AutCandidate:
         vectors.append(
             RationalVector([_parse_rational(x, key) for x in raw])
         )
+    raw_modes = doc.get("e_modes", [])
+    if not isinstance(raw_modes, list):
+        raise SpecError("e_modes must be a list of objects with i, m, k")
     modes = []
-    for raw in doc.get("e_modes", []):
+    for raw in raw_modes:
         if not isinstance(raw, dict):
             raise SpecError("each e_mode must be an object with i, m, k")
         modes.append(
@@ -301,15 +310,14 @@ def load_spec(path: str) -> ManifoldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Output helpers.
+# Commands.  Each row of COMMANDS is (command words, help, arguments, run);
+# a row whose run is None is a command group.  ``run(args)`` returns (exit
+# code, JSON payload, human text); a None payload sends the text to stderr.
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+def _words(values) -> str:
+    return " ".join(str(v) for v in values)
 
 
 def _index_set(values: Sequence[int]) -> str:
@@ -324,72 +332,43 @@ def _witness_payload(
     return {"I": list(witness[0]), "J": list(witness[1])}
 
 
-# ---------------------------------------------------------------------------
-# Command handlers.
-# ---------------------------------------------------------------------------
-
-
-def cmd_validate(args) -> int:
-    doc = _load_json(args.spec)
+def _validate(args):
     try:
-        spec = spec_from_document(doc)
+        report = validate_spec(spec_from_document(_load_json(args.spec)))
     except SpecError as exc:
-        _emit(
-            args,
-            {"ok": False, "violations": [str(exc)], "warnings": []},
-            f"invalid: {exc}",
-        )
-        return 1
-    report = validate_spec(spec)
+        report = ValidationReport(violations=[str(exc)])
     payload = {
         "ok": report.ok,
         "violations": list(report.violations),
         "warnings": list(report.warnings),
     }
-    if report.ok:
-        lines = ["valid"]
-        lines += [f"warning: {w}" for w in report.warnings]
-        _emit(args, payload, "\n".join(lines))
-        return 0
-    lines = [f"invalid: {v}" for v in report.violations]
+    lines = ["valid"] if report.ok else [f"invalid: {v}" for v in report.violations]
     lines += [f"warning: {w}" for w in report.warnings]
-    _emit(args, payload, "\n".join(lines))
-    return 1
+    return (0 if report.ok else 1), payload, "\n".join(lines)
 
 
-def cmd_hodge(args) -> int:
-    spec = load_spec(args.spec)
-    table = hodge_table(spec)
+def _hodge(args):
+    table = hodge_table(load_spec(args.spec))
     if args.check_serre:
         try:
             table.check_symmetries()
         except AssertionError as exc:
-            print(f"symmetry violation: {exc}", file=sys.stderr)
-            return 1
+            return 1, None, f"symmetry violation: {exc}"
     sums = table.degree_sums()
     payload = {
         "entries": [list(row) for row in table.entries],
         "degree_sums": list(sums),
     }
-    human = table.render() + "\ndegree sums: " + " ".join(str(x) for x in sums)
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, table.render() + "\ndegree sums: " + _words(sums)
 
 
-def cmd_betti(args) -> int:
-    spec = load_spec(args.spec)
-    betti = betti_numbers(spec)
-    _emit(
-        args,
-        {"betti": list(betti)},
-        "b = " + " ".join(str(b) for b in betti),
-    )
-    return 0
+def _betti(args):
+    betti = betti_numbers(load_spec(args.spec))
+    return 0, {"betti": list(betti)}, "b = " + _words(betti)
 
 
-def _degeneration_command(args, compute, verb_key: str) -> int:
-    spec = load_spec(args.spec)
-    rep = compute(spec)
+def _verdict(compute, verb_key: str, args):
+    rep = compute(load_spec(args.spec))
     payload = {
         verb_key: rep.holds,
         "witness": _witness_payload(rep.witness),
@@ -400,48 +379,32 @@ def _degeneration_command(args, compute, verb_key: str) -> int:
         ),
     }
     if rep.holds:
-        human = "YES"
-    else:
-        I, J = rep.witness
-        human = f"NO, witness I={_index_set(I)} J={_index_set(J)}"
-    _emit(args, payload, human)
-    return 0
+        return 0, payload, "YES"
+    I, J = rep.witness
+    return 0, payload, f"NO, witness I={_index_set(I)} J={_index_set(J)}"
 
 
-def cmd_frolicher(args) -> int:
-    return _degeneration_command(args, frolicher_degenerates, "degenerates")
+_frolicher = partial(_verdict, frolicher_degenerates, "degenerates")
+_ddbar = partial(_verdict, ddbar_lemma, "holds")
 
 
-def cmd_ddbar(args) -> int:
-    return _degeneration_command(args, ddbar_lemma, "holds")
-
-
-def cmd_deformations(args) -> int:
-    spec = load_spec(args.spec)
-    rep = deformation_dimension(spec)
+def _deformations(args):
+    rep = deformation_dimension(load_spec(args.spec))
     payload = {
         "h1n": rep.h1n,
         "unobstructed": rep.unobstructed,
         "closed_form_value": rep.closed_form_value,
     }
-    _emit(args, payload, str(rep))
-    return 0
+    return 0, payload, str(rep)
 
 
-def cmd_albanese(args) -> int:
-    spec = load_spec(args.spec)
-    rep = albanese_verdict(spec)
-    _emit(
-        args,
-        {"h10": rep.h10, "verdict": rep.verdict.value},
-        str(rep),
-    )
-    return 0
+def _albanese(args):
+    rep = albanese_verdict(load_spec(args.spec))
+    return 0, {"h10": rep.h10, "verdict": rep.verdict.value}, str(rep)
 
 
-def cmd_pkahler(args) -> int:
-    spec = load_spec(args.spec)
-    rep = pkahler_status(spec, args.p)
+def _pkahler(args):
+    rep = pkahler_status(load_spec(args.spec), args.p)
     payload = {
         "p": rep.p,
         "status": rep.status.value,
@@ -449,25 +412,19 @@ def cmd_pkahler(args) -> int:
         "scalar": None if rep.scalar is None else str(rep.scalar),
     }
     if rep.status is PKahlerStatus.NOT_P_KAHLER:
-        human = f"NO, witness {rep.witness}"
-    elif rep.status is PKahlerStatus.TORUS_ALL_P:
-        human = "YES (torus, every p)"
-    else:
-        human = "YES"
-    _emit(args, payload, human)
-    return 0
+        return 0, payload, f"NO, witness {rep.witness}"
+    if rep.status is PKahlerStatus.TORUS_ALL_P:
+        return 0, payload, "YES (torus, every p)"
+    return 0, payload, "YES"
 
 
-def cmd_kodaira(args) -> int:
-    spec = load_spec(args.spec)
-    value = kodaira_dimension(spec)
-    _emit(args, {"kodaira_dimension": value}, str(value))
-    return 0
+def _kodaira(args):
+    value = kodaira_dimension(load_spec(args.spec))
+    return 0, {"kodaira_dimension": value}, str(value)
 
 
-def cmd_characters(args) -> int:
-    spec = load_spec(args.spec)
-    rep = admissible_character_set(spec)
+def _characters(args):
+    rep = admissible_character_set(load_spec(args.spec))
     payload = {
         "base": None if rep.base is None else _rational_list(rep.base),
         "classes": [
@@ -479,15 +436,9 @@ def cmd_characters(args) -> int:
             for cls in rep.classes
         ],
     }
-    lines = []
-    if rep.base is not None:
-        lines.append(f"base c = {rep.base}")
+    lines = [] if rep.base is None else [f"base c = {rep.base}"]
     lines += [str(cls) for cls in rep.classes]
-    _emit(args, payload, "\n".join(lines))
-    return 0
-
-
-# -- tau subcommands --------------------------------------------------------
+    return 0, payload, "\n".join(lines)
 
 
 def _parse_triple_tokens(tokens: Sequence[str]):
@@ -503,30 +454,23 @@ def _parse_triple_tokens(tokens: Sequence[str]):
     return c, h, k
 
 
-def cmd_tau_canonical(args) -> int:
+def _canonical(args):
     c, h, k = _parse_triple_tokens(args.triple)
     tau_from_triple(c, h, k)
     c2, h2, k2 = canonical_triple(c, h, k)
-    parts = [str(x) for x in c2] + [str(h2), str(k2)]
-    _emit(
-        args,
-        {"c": _rational_list(c2), "h": h2, "k": k2},
-        " ".join(parts),
-    )
-    return 0
+    payload = {"c": _rational_list(c2), "h": h2, "k": k2}
+    return 0, payload, _words([*payload["c"], h2, k2])
 
 
-def cmd_tau_same(args) -> int:
+def _same(args):
     t1 = tau_from_triple(*_parse_triple_tokens(args.triple1.split(",")))
     t2 = tau_from_triple(*_parse_triple_tokens(args.triple2.split(",")))
     same = same_fiber(t1, t2)
-    _emit(args, {"same_fiber": same}, "yes" if same else "no")
-    return 0
+    return 0, {"same_fiber": same}, "yes" if same else "no"
 
 
-def cmd_tau_from_triple(args) -> int:
-    c, h, k = _parse_triple_tokens(args.triple)
-    tau = tau_from_triple(c, h, k)
+def _from_triple(args):
+    tau = tau_from_triple(*_parse_triple_tokens(args.triple))
     ratio = tau_ratio_invariants(tau).rational_value
     payload = {
         "c": _rational_list(tau.c_ref),
@@ -535,49 +479,29 @@ def cmd_tau_from_triple(args) -> int:
         "ratio": str(ratio),
     }
     human = f"c = {tau.c_ref}; h = {tau.h}; k = {tau.k}; Re(tau)/|tau|^2 = {ratio}"
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, human
 
 
-# -- aut subcommands --------------------------------------------------------
-
-
-def cmd_aut_verify(args) -> int:
+def _verify(args):
     spec = load_spec(args.spec)
-    candidate = candidate_from_document(_load_json(args.candidate))
-    check = verify_candidate(spec, candidate)
+    check = verify_candidate(
+        spec, candidate_from_document(_load_json(args.candidate))
+    )
     payload = {"ok": check.ok, "violations": list(check.violations)}
     if check.ok:
-        _emit(args, payload, "Ok")
-        return 0
-    _emit(
-        args,
-        payload,
-        "\n".join(f"violation: {v}" for v in check.violations),
-    )
-    return 1
+        return 0, payload, "Ok"
+    return 1, payload, "\n".join(f"violation: {v}" for v in check.violations)
 
 
-def _matrix_text(m: IntMatrix) -> str:
-    return str([list(row) for row in m.entries])
+def _search(args):
+    found = commutant_search(load_spec(args.spec), args.t, args.bound)
+    matrices = [[list(row) for row in m.entries] for m in found]
+    payload = {"t": args.t, "bound": args.bound, "matrices": matrices}
+    return 0, payload, "\n".join(str(m) for m in matrices) or "(none)"
 
 
-def cmd_aut_search(args) -> int:
-    spec = load_spec(args.spec)
-    found = commutant_search(spec, args.t, args.bound)
-    payload = {
-        "t": args.t,
-        "bound": args.bound,
-        "matrices": [[list(row) for row in m.entries] for m in found],
-    }
-    human = "\n".join(_matrix_text(m) for m in found) or "(none)"
-    _emit(args, payload, human)
-    return 0
-
-
-def cmd_aut_cosets(args) -> int:
-    spec = load_spec(args.spec)
-    group = h_coset_group(spec)
+def _cosets(args):
+    group = h_coset_group(load_spec(args.spec))
     payload = {
         "order": group.order,
         "factors": [
@@ -585,39 +509,66 @@ def cmd_aut_cosets(args) -> int:
             list(group.invariant_factors_x2),
         ],
     }
-    _emit(args, payload, str(group))
-    return 0
+    return 0, payload, str(group)
 
 
-def cmd_aut_emodes(args) -> int:
+def _emodes(args):
     spec = load_spec(args.spec)
-    modes = []
-    lines = []
+    modes, lines = [], []
     for i in range(1, spec.n + 1):
-        mode = e_mode_space(spec, args.t, i)
-        if mode is None:
-            modes.append({"i": i, "m": None, "k": None})
-            lines.append(f"i={i}: none")
-        else:
-            modes.append({"i": i, "m": mode[0], "k": mode[1]})
-            lines.append(f"i={i}: m={mode[0]} k={mode[1]}")
-    _emit(args, {"t": args.t, "modes": modes}, "\n".join(lines))
-    return 0
+        m, k = e_mode_space(spec, args.t, i) or (None, None)
+        modes.append({"i": i, "m": m, "k": k})
+        lines.append(f"i={i}: none" if m is None else f"i={i}: m={m} k={k}")
+    return 0, {"t": args.t, "modes": modes}, "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Parser assembly.
-# ---------------------------------------------------------------------------
+_SPEC = ("spec", {"help": "path to a spec JSON document"})
+_CANDIDATE = ("candidate", {"help": "path to a candidate JSON document"})
+_SERRE = (
+    "--check-serre",
+    {
+        "action": "store_true",
+        "help": "also assert the conjugation and duality symmetries",
+    },
+)
+_DEGREE = ("--p", {"type": int, "required": True, "help": "degree p, 1..n+1"})
+_SIGN = ("--t", {"type": int, "required": True, "choices": (1, -1)})
+_BOUND = ("--bound", {"type": int, "default": 3})
+_TRIPLE = ("triple", {"nargs": "+", "help": "c coordinates then h then k"})
+_COMMA_TRIPLE = {"help": "comma-separated: c coordinates, h, k"}
+_TRIPLES = (("triple1", _COMMA_TRIPLE), ("triple2", _COMMA_TRIPLE))
 
-
-def _add_spec_command(sub, name: str, func, help_text: str):
-    parser = sub.add_parser(name, help=help_text)
-    parser.add_argument("spec", help="path to a spec JSON document")
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    parser.set_defaults(func=func)
-    return parser
+COMMANDS = (
+    (("validate",), "check a spec document", (_SPEC,), _validate),
+    (("hodge",), "Hodge number table", (_SPEC, _SERRE), _hodge),
+    (("betti",), "Betti numbers", (_SPEC,), _betti),
+    (("frolicher",), "does the spectral sequence degenerate", (_SPEC,), _frolicher),
+    (("ddbar",), "does the del-delbar lemma hold", (_SPEC,), _ddbar),
+    (("deformations",), "deformation dimension", (_SPEC,), _deformations),
+    (("albanese",), "Albanese map verdict", (_SPEC,), _albanese),
+    (("pkahler",), "p-Kahler verdict", (_SPEC, _DEGREE), _pkahler),
+    (("kodaira",), "Kodaira dimension", (_SPEC,), _kodaira),
+    (("characters",), "admissible character classes", (_SPEC,), _characters),
+    (("tau",), "tau triple arithmetic", (), None),
+    (("tau", "canonical"), "reduce a triple by gcd(h, k)", (_TRIPLE,), _canonical),
+    (("tau", "same"), "do two triples give the same tau", _TRIPLES, _same),
+    (
+        ("tau", "from-triple"),
+        "validate a triple and report its invariants",
+        (_TRIPLE,),
+        _from_triple,
+    ),
+    (("aut",), "automorphism lift tools", (), None),
+    (("aut", "verify"), "verify a candidate lift", (_SPEC, _CANDIDATE), _verify),
+    (
+        ("aut", "search"),
+        "enumerate bounded intertwiners",
+        (_SPEC, _SIGN, _BOUND),
+        _search,
+    ),
+    (("aut", "cosets"), "translation classes modulo the lattice", (_SPEC,), _cosets),
+    (("aut", "emodes"), "exponential mode per weight index", (_SPEC, _SIGN), _emodes),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,112 +580,46 @@ def build_parser() -> argparse.ArgumentParser:
             "lattice construction and automorphism lifts"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_spec_command(sub, "validate", cmd_validate, "check a spec document")
-    hodge = _add_spec_command(sub, "hodge", cmd_hodge, "Hodge number table")
-    hodge.add_argument(
-        "--check-serre",
-        action="store_true",
-        help="also assert the conjugation and duality symmetries",
-    )
-    _add_spec_command(sub, "betti", cmd_betti, "Betti numbers")
-    _add_spec_command(
-        sub, "frolicher", cmd_frolicher, "does the spectral sequence degenerate"
-    )
-    _add_spec_command(sub, "ddbar", cmd_ddbar, "does the del-delbar lemma hold")
-    _add_spec_command(
-        sub, "deformations", cmd_deformations, "deformation dimension"
-    )
-    _add_spec_command(sub, "albanese", cmd_albanese, "Albanese map verdict")
-    pk = _add_spec_command(sub, "pkahler", cmd_pkahler, "p-Kahler verdict")
-    pk.add_argument("--p", type=int, required=True, help="degree p, 1..n+1")
-    _add_spec_command(sub, "kodaira", cmd_kodaira, "Kodaira dimension")
-    _add_spec_command(
-        sub, "characters", cmd_characters, "admissible character classes"
-    )
-
-    tau_parser = sub.add_parser("tau", help="tau triple arithmetic")
-    tau_sub = tau_parser.add_subparsers(dest="tau_command", required=True)
-
-    canonical = tau_sub.add_parser(
-        "canonical", help="reduce a triple by gcd(h, k)"
-    )
-    canonical.add_argument(
-        "triple", nargs="+", help="c coordinates then h then k"
-    )
-    canonical.add_argument("--json", action="store_true")
-    canonical.set_defaults(func=cmd_tau_canonical)
-
-    same = tau_sub.add_parser(
-        "same", help="do two triples give the same tau"
-    )
-    same.add_argument("triple1", help="comma-separated: c coordinates, h, k")
-    same.add_argument("triple2", help="comma-separated: c coordinates, h, k")
-    same.add_argument("--json", action="store_true")
-    same.set_defaults(func=cmd_tau_same)
-
-    from_triple = tau_sub.add_parser(
-        "from-triple", help="validate a triple and report its invariants"
-    )
-    from_triple.add_argument(
-        "triple", nargs="+", help="c coordinates then h then k"
-    )
-    from_triple.add_argument("--json", action="store_true")
-    from_triple.set_defaults(func=cmd_tau_from_triple)
-    # argparse passes only integers and decimals such as -2 or -0.5 as
-    # values; a fraction such as -3/2, alone or leading a comma list, would
-    # read as an unknown option, and these parsers have no numeric options
-    for triple_parser in (canonical, same, from_triple):
-        triple_parser._negative_number_matcher = re.compile(r"^-\d")
-
-    aut_parser = sub.add_parser("aut", help="automorphism lift tools")
-    aut_sub = aut_parser.add_subparsers(dest="aut_command", required=True)
-
-    verify = aut_sub.add_parser("verify", help="verify a candidate lift")
-    verify.add_argument("spec", help="path to a spec JSON document")
-    verify.add_argument("candidate", help="path to a candidate JSON document")
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_aut_verify)
-
-    search = aut_sub.add_parser(
-        "search", help="enumerate bounded intertwiners"
-    )
-    search.add_argument("spec", help="path to a spec JSON document")
-    search.add_argument("--t", type=int, required=True, choices=(1, -1))
-    search.add_argument("--bound", type=int, default=3)
-    search.add_argument("--json", action="store_true")
-    search.set_defaults(func=cmd_aut_search)
-
-    cosets = aut_sub.add_parser(
-        "cosets", help="translation classes modulo the lattice"
-    )
-    cosets.add_argument("spec", help="path to a spec JSON document")
-    cosets.add_argument("--json", action="store_true")
-    cosets.set_defaults(func=cmd_aut_cosets)
-
-    emodes = aut_sub.add_parser(
-        "emodes", help="exponential mode per weight index"
-    )
-    emodes.add_argument("spec", help="path to a spec JSON document")
-    emodes.add_argument("--t", type=int, required=True, choices=(1, -1))
-    emodes.add_argument("--json", action="store_true")
-    emodes.set_defaults(func=cmd_aut_emodes)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, arguments, run in COMMANDS:
+        command = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if run is None:
+            groups[words] = command.add_subparsers(
+                dest=f"{words[-1]}_command", required=True
+            )
+            continue
+        for name, options in arguments:
+            command.add_argument(name, **options)
+        command.add_argument(
+            "--json", action="store_true", help="machine-readable output"
+        )
+        command.set_defaults(run=run)
+        if words[0] == "tau":
+            # argparse passes only integers and decimals such as -2 or -0.5
+            # as values; a fraction such as -3/2, alone or leading a comma
+            # list, would read as an unknown option, and the tau commands
+            # have no numeric options
+            command._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, human = args.run(args)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if payload is None:
+        print(human, file=sys.stderr)
+    elif args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(human)
+    return code
 
 
 if __name__ == "__main__":

@@ -162,9 +162,10 @@ def validate_spec(s: ManifoldSpec) -> ValidationReport:
     """Check a spec against every structural constraint.
 
     Accepts exactly when the weights sum to zero coordinatewise, all declared
-    dimensions agree, and the tau description is well formed.  Unused basis
-    symbols are reported as warnings, not violations, so a torus written with
-    explicit zero vectors still validates.
+    dimensions agree, the lattice matrix (if any) is n x n, and the tau
+    description is well formed.  Unused basis symbols are reported as
+    warnings, not violations, so a torus written with explicit zero vectors
+    still validates.
     """
     report = ValidationReport()
     if s.n < 1:
@@ -190,6 +191,11 @@ def validate_spec(s: ManifoldSpec) -> ValidationReport:
                 report.warnings.append(
                     f"basis symbol b{j + 1} appears in no weight"
                 )
+    if s.lattice is not None and s.lattice.matrix.nrows != s.n:
+        size = s.lattice.matrix.nrows
+        report.violations.append(
+            f"lattice matrix is {size}x{size}, expected {s.n}x{s.n}"
+        )
     _validate_tau(s.tau, s.basis_dim, report)
     return report
 
@@ -257,14 +263,6 @@ def rho_kernel(s: ManifoldSpec) -> KernelKind:
     if s.is_torus():
         return KernelKind.ALL_OF_C
     return KernelKind.TAU_LINE
-
-
-def rho_fixed_locus(s: ManifoldSpec) -> frozenset:
-    """Indices (1-based) of the C^n directions fixed by every ``rho(w)``."""
-    require_valid(s)
-    return frozenset(
-        i for i, lam in enumerate(s.lambdas, start=1) if lam.is_zero()
-    )
 
 
 def kodaira_dimension(s: ManifoldSpec) -> int:

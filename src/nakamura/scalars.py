@@ -219,9 +219,6 @@ class Poly:
             raise ValueError(f"{self} is not a constant polynomial")
         return self.terms.get((), Fraction(0))
 
-    def variables(self) -> set:
-        return {name for mono in self.terms for name, _ in mono}
-
     def __add__(self, other: "Poly" | RationalLike) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented

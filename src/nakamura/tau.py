@@ -12,8 +12,7 @@ fiber has a unique canonical representative with ``gcd(h, k) == 1``.  The
 ratio ``Re(tau) / |tau|^2`` equals ``h / k`` exactly; a Generic tau instead
 declares that ratio irrational and carries no triple.
 
-All the verdicts here are rational arithmetic.  :func:`tau_to_float` is the
-one deliberate exception, a display-only evaluator.
+All the verdicts here are rational arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .model import SpecError, TauSpec
 from .scalars import RationalVector, qvec_proportionality
@@ -109,29 +108,3 @@ def tau_ratio_invariants(t: TauSpec) -> RatioReport:
         return RatioReport(rational_value=None)
     _check_triple(t.c_ref, t.h, t.k)
     return RatioReport(rational_value=Fraction(t.h, t.k))
-
-
-def tau_to_float(t: TauSpec, b_values: Sequence[float]) -> complex:
-    """Numeric tau for display, given float values for the basis symbols.
-
-    Not used by any verdict.  ``b_values[j]`` is the value of ``b(j+1)`` and
-    must be positive; the asserted sign ``c * k > 0`` is rechecked against the
-    numbers and reported if violated, since that indicates the declared spec
-    and the numeric values disagree.
-    """
-    if not t.is_special():
-        raise SpecError("a Generic tau carries no numbers to evaluate")
-    if len(b_values) != t.c_ref.dim:
-        raise SpecError(
-            f"need {t.c_ref.dim} basis values, got {len(b_values)}"
-        )
-    if any(v <= 0 for v in b_values):
-        raise SpecError("basis symbols denote positive reals")
-    c = sum(float(coef) * val for coef, val in zip(t.c_ref.coords, b_values))
-    if c * t.k <= 0:
-        raise SpecError(
-            "numeric values violate the asserted sign c*k > 0"
-        )
-    denom = 4 * math.pi ** 2 * t.h ** 2 + c * c
-    scale = 2 * t.k * math.pi / denom
-    return complex(scale * 2 * t.h * math.pi, scale * c)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: canned specs, random generators, the
 quadratic subset engine kept as the reference for the hash join, the
 brute-force commutant search kept as the reference for the lattice search,
-and the dense rational CE oracle kept as the reference for the modular one."""
+the dense rational CE oracle kept as the reference for the modular one, and
+a float evaluator of tau kept as the reference for its exact ratio."""
 
 import itertools
 import math
@@ -131,6 +132,14 @@ def random_form(spec, rng, max_terms=3, degree=None):
         )
         total = total + term
     return total
+
+
+def tau_to_float(t, b_values):
+    """tau(c, h, k) as a complex number, with ``b_values[j]`` the value of
+    ``b(j+1)``: the float reference for ``Re(tau)/|tau|^2 == h/k``."""
+    c = sum(float(coef) * val for coef, val in zip(t.c_ref.coords, b_values))
+    scale = 2 * t.k * math.pi / (4 * math.pi ** 2 * t.h ** 2 + c * c)
+    return complex(scale * 2 * t.h * math.pi, scale * c)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,25 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     assert "extra_field" in out
 
 
+@pytest.mark.parametrize("relations", [5, None])
+def test_relations_not_a_list_is_a_spec_error(tmp_path, capsys, relations):
+    lattice = dict(GENERIC_DOC["lattice"], certified_relations=relations)
+    spec = write_json(tmp_path, "s.json", dict(GENERIC_DOC, lattice=lattice))
+    code, out, _ = run(capsys, "validate", spec)
+    assert code == 1
+    assert out.startswith("invalid: certified_relations")
+    code, _, err = run(capsys, "betti", spec)
+    assert code == 1
+    assert err.startswith("error: certified_relations")
+
+
+def test_validate_rejects_lattice_of_wrong_size(tmp_path, capsys):
+    lattice = {"M": [[2, 1, 0], [1, 1, 0], [0, 0, 1]]}
+    spec = write_json(tmp_path, "s.json", dict(GENERIC_DOC, lattice=lattice))
+    code, out, _ = run(capsys, "validate", spec)
+    assert (code, out) == (1, "invalid: lattice matrix is 3x3, expected 2x2")
+
+
 def test_float_weights_rejected(tmp_path, capsys):
     doc = dict(GENERIC_DOC, lambdas=[[0.5], ["-1/2"]])
     spec = write_json(tmp_path, "s.json", doc)
@@ -281,6 +300,16 @@ def test_aut_verify_bad_t(tmp_path, capsys):
     code, out, _ = run(capsys, "aut", "verify", spec, cand)
     assert code == 1
     assert "t must be 1 or -1" in out
+
+
+@pytest.mark.parametrize("modes", [5, None, {"i": 1, "m": 0, "k": 1}])
+def test_aut_verify_e_modes_not_a_list(tmp_path, capsys, modes):
+    spec = write_json(tmp_path, "s.json", GENERIC_DOC)
+    bad = dict(IDENTITY_CANDIDATE, e_modes=modes)
+    cand = write_json(tmp_path, "c.json", bad)
+    code, out, err = run(capsys, "aut", "verify", spec, cand)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: e_modes")
 
 
 def test_aut_search_contains_identity_and_intertwiners(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Every spec command runs on every ``demos/specs/*.json`` document, human and
 ``--json``; ``pkahler`` runs for every p in 1..n+1 and for the out-of-range
-0 and n+2, and ``aut search`` for both signs t and every bound 0..2.  The
+0 and n+2, ``aut search`` for both signs t and every bound 0..2, and
+``aut verify`` with each candidate in ``tests/candidates/``.  The
 ``tau`` commands run on a fixed set of triples, valid and invalid, some
 led by a negative fraction.  The exit
 code, stdout and stderr must match ``golden_cli.json`` byte for byte.
@@ -22,8 +23,10 @@ from nakamura.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = sorted((ROOT / "demos" / "specs").glob("*.json"))
+CANDIDATES = sorted((ROOT / "tests" / "candidates").glob("*.json"))
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 COMMANDS = (
+    ("validate",),
     ("hodge",),
     ("hodge", "--check-serre"),
     ("betti",),
@@ -72,6 +75,12 @@ def _invocations():
                 args = list(command + mode)
                 key = " ".join(args + [f"demos/specs/{path.name}"])
                 yield key, args + [str(path)]
+        for candidate in CANDIDATES:
+            for mode in ((), ("--json",)):
+                args = ["aut", "verify", *mode]
+                files = (path, candidate)
+                key = " ".join(args + [str(f.relative_to(ROOT)) for f in files])
+                yield key, args + [str(f) for f in files]
     for command in TAU_COMMANDS:
         for mode in ((), ("--json",)):
             args = list(command[:2] + mode + command[2:])

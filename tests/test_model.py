@@ -8,7 +8,6 @@ from nakamura.model import (
     SpecError,
     TauSpec,
     kodaira_dimension,
-    rho_fixed_locus,
     rho_kernel,
     validate_spec,
 )
@@ -121,13 +120,6 @@ def test_validate_random_specs_iff_weights_balance():
 def test_rho_kernel():
     assert rho_kernel(generic_spec((1,), (-1,))) is KernelKind.TAU_LINE
     assert rho_kernel(generic_spec((0,), (0,))) is KernelKind.ALL_OF_C
-
-
-def test_rho_fixed_locus():
-    s = generic_spec((1,), (0,), (-1,))
-    assert rho_fixed_locus(s) == frozenset({2})
-    assert rho_fixed_locus(generic_spec((1,), (-1,))) == frozenset()
-    assert rho_fixed_locus(generic_spec((0,), (0,))) == frozenset({1, 2})
 
 
 def test_rho_kernel_rejects_invalid():
