@@ -12,8 +12,8 @@ elements by them, enumerates bounded intertwiners on the lattice of
 solutions of the intertwining condition, classifies the translation part
 modulo the lattice, and solves for the exponential modes.
 
-Everything here requires a spec with lattice data and entirely nonzero
-weight vectors; specs with a zero weight are rejected.
+Everything here requires a valid spec with lattice data and entirely
+nonzero weight vectors; other specs are rejected.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import ManifoldSpec, SpecError
+from .model import ManifoldSpec, SpecError, require_valid
 from .scalars import IntMatrix, RationalVector, qvec_proportionality, smith_normal_form
 
 __all__ = [
@@ -202,7 +202,9 @@ class CosetGroup:
 
 
 def _require_automorphism_context(s: ManifoldSpec) -> IntMatrix:
-    """The lattice matrix, after the standing hypotheses are checked."""
+    """The lattice matrix, after the spec is validated and the standing
+    hypotheses are checked."""
+    require_valid(s)
     if s.lattice is None:
         raise SpecError("automorphism analysis needs lattice data on the spec")
     for pos, lam in enumerate(s.lambdas, start=1):
@@ -225,8 +227,8 @@ def verify_candidate(s: ManifoldSpec, c: AutCandidate) -> CandidateCheck:
     hold: ``t`` is ``1`` or ``-1``; ``M^t A' = A' M``; ``det A'`` is
     ``1`` or ``-1``; ``(I - M) x1`` and ``(I - M) x2`` are integral; and
     every declared exponential mode matches the canonical mode for its
-    index.  Raises :class:`SpecError` when the spec lacks lattice data or
-    has a zero weight, or on shape mismatches.
+    index.  Raises :class:`SpecError` when the spec fails validation,
+    lacks lattice data or has a zero weight, or on shape mismatches.
     """
     m = _require_automorphism_context(s)
     n = m.nrows
@@ -257,7 +259,8 @@ def verify_candidate(s: ManifoldSpec, c: AutCandidate) -> CandidateCheck:
         image = i_minus_m.apply(x)
         if not _vector_is_integral(image):
             violations.append(
-                f"(I - M) * {label} = {list(image)} is not integral"
+                f"(I - M) * {label} = [{', '.join(str(v) for v in image)}] "
+                "is not integral"
             )
 
     if t_valid:

@@ -25,12 +25,17 @@ coefficients pass through the differentials untouched.  Everything below is
 exact rational arithmetic and the operators ``del`` and ``dbar`` square to
 zero on the nose, a fact the test suite checks on random forms.
 
+``d`` runs in one pass: it applies the ``del`` and ``dbar`` rules together
+to each term and sums every output coefficient once, rather than computing
+``del_`` and ``dbar`` separately and adding the two forms.
+
 ``del`` is a Python keyword, so the holomorphic differential is exported as
 :func:`del_`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +49,7 @@ from .scalars import (
     RationalVector,
     U,
     poly_conjugate,
+    poly_sum,
     qvector_poly,
 )
 
@@ -300,70 +306,81 @@ def wedge(*factors: InvariantForm) -> InvariantForm:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_poly(spec: ManifoldSpec, idx: int) -> Poly:
-    return qvector_poly(spec.lambdas[idx - 1])
+@functools.lru_cache(maxsize=64)
+def _weight_factors(lam: RationalVector) -> Tuple[Poly, Poly]:
+    """``(lambda * u, lambda * (u - 1))``, the coefficients of the generator
+    rules for the weight ``lam``, kept in a small cache keyed by the weight
+    vector alone."""
+    lam_poly = qvector_poly(lam)
+    return lam_poly * U, lam_poly * (U - 1)
 
 
 def _dbar_generator(spec: ManifoldSpec, g: Generator):
     """dbar of one coframe generator as [(coeff, 2-generator monomial)]."""
     kind, idx = g
-    if idx == 0:
+    if idx == 0 or spec.lambdas[idx - 1].is_zero():
         return []
-    lam = _lambda_poly(spec, idx)
-    if lam.is_zero():
-        return []
+    lam_u, _ = _weight_factors(spec.lambdas[idx - 1])
     if kind == HOLO:
         # lambda_i * u * phi_i ^ phibar0, already in sorted order
-        return [(lam * U, ((HOLO, idx), (ANTI, 0)))]
+        return [(lam_u, ((HOLO, idx), (ANTI, 0)))]
     # -lambda_i * u * phibar0 ^ phibar_i
-    return [(-lam * U, ((ANTI, 0), (ANTI, idx)))]
+    return [(-lam_u, ((ANTI, 0), (ANTI, idx)))]
 
 
 def _del_generator(spec: ManifoldSpec, g: Generator):
     """del of one coframe generator as [(coeff, 2-generator monomial)]."""
     kind, idx = g
-    if idx == 0:
+    if idx == 0 or spec.lambdas[idx - 1].is_zero():
         return []
-    lam = _lambda_poly(spec, idx)
-    if lam.is_zero():
-        return []
+    _, lam_u1 = _weight_factors(spec.lambdas[idx - 1])
     # lambda_i * (u - 1) * phi0 ^ (the generator), for both kinds
-    return [((U - 1) * lam, ((HOLO, 0), (kind, idx)))]
+    return [(lam_u1, ((HOLO, 0), (kind, idx)))]
 
 
-def _derivation(form: InvariantForm, gen_rule, func_gen, func_scale) -> InvariantForm:
-    """Extend a degree-one derivation from generators and functions.
+# One rule set per part of ``d``: the rule for a single generator, the
+# one-form generator that differentiating ``f_c`` produces, and the constant
+# factor of that term (``del(f_c) = (u - 1) c f_c phi0``,
+# ``dbar(f_c) = u c f_c phibar0``).
+_DEL = (_del_generator, (HOLO, 0), U - 1)
+_DBAR = (_dbar_generator, (ANTI, 0), U)
 
-    ``gen_rule(spec, g)`` gives the differential of a single generator;
-    ``func_gen`` is the one-form generator produced by differentiating
-    ``f_c`` and ``func_scale(c_poly)`` its polynomial factor.  Each
-    generator's rule is computed once per call.
+
+def _derivation(form: InvariantForm, rule_sets) -> InvariantForm:
+    """Apply the sum of the derivations given by ``rule_sets`` in one pass.
+
+    Each generator's rule, the concatenation of its rules from every set,
+    is built once per call.  Every contribution is collected under its
+    ``(character, monomial)`` key and each key is summed once at the end.
     """
     spec = form.spec
-    out: dict[TermKey, Poly] = {}
+    collected: dict[TermKey, list] = {}
     rules: dict[Generator, list] = {}
-
-    def add(char, mono, coeff):
-        key = (char, mono)
-        total = out.get(key, Poly()) + coeff
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
 
     for (char, mono), coeff in form.terms.items():
         if not char.is_zero():
-            merged = _wedge_monomials((func_gen,), mono)
-            if merged is not None:
-                sign, new_mono = merged
-                add(char, new_mono, sign * func_scale(qvector_poly(char)) * coeff)
+            scaled = qvector_poly(char) * coeff
+            for _, func_gen, factor in rule_sets:
+                merged = _wedge_monomials((func_gen,), mono)
+                if merged is not None:
+                    sign, new_mono = merged
+                    collected.setdefault((char, new_mono), []).append(
+                        factor * scaled * sign
+                    )
         for pos, g in enumerate(mono):
+            rule = rules.get(g)
+            if rule is None:
+                rule = rules[g] = [
+                    piece
+                    for gen_rule, _, _ in rule_sets
+                    for piece in gen_rule(spec, g)
+                ]
+            if not rule:
+                continue
             prefix = mono[:pos]
             suffix = mono[pos + 1:]
             pos_sign = -1 if pos % 2 else 1
-            if g not in rules:
-                rules[g] = gen_rule(spec, g)
-            for piece_coeff, piece_mono in rules[g]:
+            for piece_coeff, piece_mono in rule:
                 first = _wedge_monomials(piece_mono, suffix)
                 if first is None:
                     continue
@@ -372,33 +389,30 @@ def _derivation(form: InvariantForm, gen_rule, func_gen, func_scale) -> Invarian
                 if second is None:
                     continue
                 s2, new_mono = second
-                add(char, new_mono, pos_sign * s1 * s2 * piece_coeff * coeff)
+                collected.setdefault((char, new_mono), []).append(
+                    piece_coeff * coeff * (pos_sign * s1 * s2)
+                )
+    out = {}
+    for key, pieces in collected.items():
+        total = poly_sum(pieces)
+        if not total.is_zero():
+            out[key] = total
     return InvariantForm(spec, out)
 
 
 def dbar(form: InvariantForm) -> InvariantForm:
     """The (0,1) part of the exterior differential."""
-    return _derivation(
-        form,
-        _dbar_generator,
-        (ANTI, 0),
-        lambda c_poly: U * c_poly,
-    )
+    return _derivation(form, (_DBAR,))
 
 
 def del_(form: InvariantForm) -> InvariantForm:
     """The (1,0) part of the exterior differential (``del``)."""
-    return _derivation(
-        form,
-        _del_generator,
-        (HOLO, 0),
-        lambda c_poly: (U - 1) * c_poly,
-    )
+    return _derivation(form, (_DEL,))
 
 
 def d(form: InvariantForm) -> InvariantForm:
-    """The full exterior differential ``del + dbar``."""
-    return del_(form) + dbar(form)
+    """The full exterior differential ``del + dbar``, in one pass."""
+    return _derivation(form, (_DEL, _DBAR))
 
 
 def conjugate(form: InvariantForm) -> InvariantForm:
@@ -407,9 +421,8 @@ def conjugate(form: InvariantForm) -> InvariantForm:
     out: dict[TermKey, Poly] = {}
     for (char, mono), coeff in form.terms.items():
         flipped = tuple((ANTI if kind == HOLO else HOLO, idx) for kind, idx in mono)
-        sign = _sort_sign(flipped)
         key = (-char, tuple(sorted(flipped)))
-        out[key] = out.get(key, Poly()) + sign * poly_conjugate(coeff)
+        out[key] = poly_conjugate(coeff) * _sort_sign(flipped)
     return InvariantForm(form.spec, out)
 
 

@@ -23,6 +23,8 @@ The extra symbol ``q`` is used by the Betti-number oracle for the real ratio
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -165,12 +167,37 @@ def _mono_sort_key(mono: Monomial):
     return (-degree, tuple((_var_key(n), -e) for n, e in mono))
 
 
+@functools.lru_cache(maxsize=256)
+def _mono_product(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two canonical monomials, itself canonical."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged: dict[str, int] = dict(m1)
+    for name, e in m2:
+        merged[name] = merged.get(name, 0) + e
+    return tuple(sorted(merged.items(), key=lambda p: _var_key(p[0])))
+
+
+def _nonzero(terms: dict) -> dict:
+    return {mono: c for mono, c in terms.items() if c}
+
+
 class Poly:
     """A sparse polynomial over the rationals in named commuting variables.
 
     Monomials are stored as sorted tuples of ``(variable, exponent)`` pairs
     mapping to nonzero Fraction coefficients.  Instances are immutable and
     hashable, and all arithmetic returns new objects.
+
+    ``terms`` is always in canonical form: each monomial lists its variables
+    once, in the order ``u``, ``q``, ``b1``, ``b2``, .. with positive
+    exponents, and each coefficient is a nonzero ``Fraction``.  The public
+    constructor brings any mapping to that form.  Arithmetic on canonical
+    operands keeps it by construction, so ``+``, ``-``, ``*`` and
+    :func:`poly_conjugate` hand their result dicts to :meth:`_canonical`,
+    which trusts them and neither re-sorts nor re-checks.
     """
 
     __slots__ = ("terms",)
@@ -186,17 +213,27 @@ class Poly:
                     ((n, e) for n, e in mono if e != 0),
                     key=lambda p: _var_key(p[0]),
                 ))
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if clean[mono] == 0:
-                    del clean[mono]
+                prev = clean.get(mono)
+                if prev is not None:
+                    coeff += prev
+                clean[mono] = coeff
+            clean = _nonzero(clean)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _canonical(cls, terms: dict[Monomial, Rational]) -> "Poly":
+        """Wrap a dict already in canonical form, without copying it."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Poly":
-        return cls({(): as_rational(value)})
+        value = as_rational(value)
+        return cls._canonical({(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -225,13 +262,14 @@ class Poly:
         other = Poly.coerce(other)
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return Poly(merged)
+            prev = merged.get(mono)
+            merged[mono] = coeff if prev is None else prev + coeff
+        return Poly._canonical(_nonzero(merged))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly" | RationalLike) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
@@ -242,18 +280,25 @@ class Poly:
         return Poly.coerce(other) - self
 
     def __mul__(self, other: "Poly" | RationalLike) -> "Poly":
-        if not isinstance(other, (Poly, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Poly._canonical({})
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            return Poly._canonical(
+                {m: c * other for m, c in self.terms.items()}
+            )
+        if not isinstance(other, Poly):
             return NotImplemented
-        other = Poly.coerce(other)
         out: dict[Monomial, Rational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                merged: dict[str, int] = dict(m1)
-                for name, e in m2:
-                    merged[name] = merged.get(name, 0) + e
-                mono = tuple(sorted(merged.items(), key=lambda p: _var_key(p[0])))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+                mono = _mono_product(m1, m2)
+                prev = out.get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return Poly._canonical(_nonzero(out))
 
     __rmul__ = __mul__
 
@@ -277,31 +322,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def substitute(self, name: str, value: "Poly" | RationalLike) -> "Poly":
-        """Replace every occurrence of the variable ``name`` by ``value``."""
-        value = Poly.coerce(value)
-        powers: dict[int, Poly] = {0: Poly.constant(1)}
-        out = Poly()
-        for mono, coeff in self.terms.items():
-            rest = tuple(p for p in mono if p[0] != name)
-            e = next((ex for n, ex in mono if n == name), 0)
-            if e not in powers:
-                powers[e] = value ** e
-            out = out + powers[e] * Poly({rest: coeff})
-        return out
-
-    def evaluate(self, assignment: Mapping[str, RationalLike]) -> Rational:
-        """Evaluate at rational values; every variable present must be bound."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for name, e in mono:
-                if name not in assignment:
-                    raise KeyError(f"no value supplied for variable {name}")
-                value *= as_rational(assignment[name]) ** e
-            total += value
-        return total
 
     def __str__(self) -> str:
         if not self.terms:
@@ -334,7 +354,35 @@ U = Poly.variable("u")
 
 def qvector_poly(v: RationalVector) -> Poly:
     """The linear polynomial ``sum v[j] * b(j+1)`` denoted by the vector."""
-    return Poly({((f"b{j + 1}", 1),): c for j, c in enumerate(v.coords) if c != 0})
+    return Poly._canonical(
+        {((f"b{j + 1}", 1),): c for j, c in enumerate(v.coords) if c != 0}
+    )
+
+
+def poly_sum(polys: Sequence[Poly]) -> Poly:
+    """The sum of ``polys``, merged into one dict."""
+    if len(polys) == 1:
+        return polys[0]
+    out: dict[Monomial, Rational] = {}
+    for p in polys:
+        for mono, coeff in p.terms.items():
+            prev = out.get(mono)
+            out[mono] = coeff if prev is None else prev + coeff
+    return Poly._canonical(_nonzero(out))
+
+
+@functools.lru_cache(maxsize=256)
+def _conjugate_monomial(mono: Monomial) -> tuple:
+    """``conj(mono)`` as ``((monomial, integer coefficient), ..)``: the
+    binomial expansion of ``(1 - u)^e * rest`` for ``mono = u^e * rest``
+    (``u`` sorts first in a canonical monomial)."""
+    if not mono or mono[0][0] != "u":
+        return ((mono, 1),)
+    e, rest = mono[0][1], mono[1:]
+    return tuple(
+        ((("u", k),) + rest if k else rest, (-1) ** k * math.comb(e, k))
+        for k in range(e + 1)
+    )
 
 
 def poly_conjugate(p: Poly) -> Poly:
@@ -343,7 +391,13 @@ def poly_conjugate(p: Poly) -> Poly:
     Every ``b`` symbol is a real number and stays fixed; the involution
     property ``poly_conjugate(poly_conjugate(p)) == p`` holds exactly.
     """
-    return p.substitute("u", Poly.constant(1) - U)
+    out: dict[Monomial, Rational] = {}
+    for mono, coeff in p.terms.items():
+        for image, binom in _conjugate_monomial(mono):
+            term = coeff if binom == 1 else coeff * binom
+            prev = out.get(image)
+            out[image] = term if prev is None else prev + term
+    return Poly._canonical(_nonzero(out))
 
 
 # ---------------------------------------------------------------------------

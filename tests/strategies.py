@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from nakamura.model import TauSpec
-from nakamura.scalars import RationalVector
+from nakamura.scalars import Poly, RationalVector
 
 from support import make_spec
 
@@ -54,3 +54,17 @@ def specs(draw, max_n, min_dim=0):
     g = draw(st.integers(1, 4))
     return make_spec(lams, tau=TauSpec.special(c_ref, g * h, g * k),
                      basis_dim=dim)
+
+
+# monomials list each variable once, in any order; the constructor sorts them
+MONOMIALS = st.dictionaries(
+    st.sampled_from(("u", "q", "b1", "b2", "b10")), st.integers(1, 3),
+    max_size=3,
+).map(lambda exps: tuple(exps.items()))
+POLYS = st.dictionaries(
+    MONOMIALS, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=5,
+).map(Poly)
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)

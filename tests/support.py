@@ -1,8 +1,10 @@
 """Shared builders for the test suite: canned specs, random generators, the
 quadratic subset engine kept as the reference for the hash join, the
 brute-force commutant search kept as the reference for the lattice search,
-the dense rational CE oracle kept as the reference for the modular one, and
-a float evaluator of tau kept as the reference for its exact ratio."""
+the dense rational CE oracle kept as the reference for the modular one, a
+float evaluator of tau kept as the reference for its exact ratio, and the
+form engine without fast paths kept as the reference for ``Poly`` and
+``forms``."""
 
 import itertools
 import math
@@ -289,6 +291,20 @@ def rank_rational(rows, ncols):
     return rank
 
 
+def poly_evaluate(p, assignment):
+    """Evaluate a ``Poly`` at rational values; every variable present must
+    be bound."""
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        value = coeff
+        for name, e in mono:
+            if name not in assignment:
+                raise KeyError(f"no value supplied for variable {name}")
+            value *= Fraction(assignment[name]) ** e
+        total += value
+    return total
+
+
 def dense_ce_differential_matrices(s):
     """Chevalley-Eilenberg differentials with polynomial entries.
 
@@ -359,7 +375,7 @@ def oracle_ce_betti_dense(s):
                 continue
             dense = [[Fraction(0)] * cols for _ in range(rows)]
             for (r, c), poly in entries.items():
-                dense[r][c] = poly.evaluate(assignment)
+                dense[r][c] = poly_evaluate(poly, assignment)
             ranks.append(rank_rational(dense, cols))
         return tuple(ranks)
 
@@ -382,3 +398,163 @@ def oracle_ce_betti_dense(s):
     raise ArithmeticError(
         "rank oracle failed to stabilize; evaluation points kept disagreeing"
     )
+
+
+# ---------------------------------------------------------------------------
+# the form engine as it was before the canonical-form fast paths: every
+# polynomial result goes back through the normalising ``Poly`` constructor,
+# ``d`` is ``del + dbar`` in two passes and conjugation expands powers of
+# ``1 - u`` by repeated products.  The reference for ``Poly`` arithmetic and
+# for ``d``, ``del_``, ``dbar``, ``conjugate`` and ``wedge``.
+# ---------------------------------------------------------------------------
+
+
+def is_canonical(p):
+    """Sorted monomials and nonzero Fraction coefficients: the form the
+    trusted ``Poly`` constructor relies on."""
+    return Poly(p.terms).terms == p.terms and all(
+        type(c) is Fraction and c != 0 for c in p.terms.values()
+    )
+
+
+def oracle_poly_add(p, q):
+    merged = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        merged[mono] = merged.get(mono, Fraction(0)) + coeff
+    return Poly(merged)
+
+
+def oracle_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            merged = dict(m1)
+            for name, e in m2:
+                merged[name] = merged.get(name, 0) + e
+            mono = tuple(sorted(merged.items()))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return Poly(out)
+
+
+def _oracle_scale(p, k):
+    return oracle_poly_mul(p, Poly({(): k}))
+
+
+def oracle_poly_conjugate(p):
+    """``p`` with ``u`` replaced by ``1 - u``."""
+    one_minus_u = Poly({(): 1, (("u", 1),): -1})
+    out = Poly()
+    for mono, coeff in p.terms.items():
+        power = Poly({(): 1})
+        for _ in range(dict(mono).get("u", 0)):
+            power = oracle_poly_mul(power, one_minus_u)
+        rest = tuple(pair for pair in mono if pair[0] != "u")
+        out = oracle_poly_add(out, oracle_poly_mul(power, Poly({rest: coeff})))
+    return out
+
+
+def _oracle_weight(spec, idx):
+    coords = spec.lambdas[idx - 1].coords if idx else ()
+    return Poly({((f"b{j + 1}", 1),): c for j, c in enumerate(coords)})
+
+
+ORACLE_U = Poly({(("u", 1),): 1})
+ORACLE_U_MINUS_ONE = Poly({(("u", 1),): 1, (): -1})
+
+
+def _oracle_dbar_rule(spec, g):
+    kind, idx = g
+    lam_u = oracle_poly_mul(_oracle_weight(spec, idx), ORACLE_U)
+    if lam_u.is_zero():
+        return []
+    if kind == HOLO:
+        return [(lam_u, ((HOLO, idx), (ANTI, 0)))]
+    return [(_oracle_scale(lam_u, -1), ((ANTI, 0), (ANTI, idx)))]
+
+
+def _oracle_del_rule(spec, g):
+    kind, idx = g
+    lam_u1 = oracle_poly_mul(_oracle_weight(spec, idx), ORACLE_U_MINUS_ONE)
+    if lam_u1.is_zero():
+        return []
+    return [(lam_u1, ((HOLO, 0), (kind, idx)))]
+
+
+def _oracle_add_term(out, key, coeff):
+    out[key] = oracle_poly_add(out.get(key, Poly()), coeff)
+
+
+def _oracle_derivation(form, gen_rule, func_gen, func_factor):
+    out = {}
+    for (char, mono), coeff in form.terms.items():
+        if not char.is_zero():
+            merged = _wedge_monomials((func_gen,), mono)
+            if merged is not None:
+                sign, new_mono = merged
+                c_poly = Poly({
+                    ((f"b{j + 1}", 1),): x for j, x in enumerate(char.coords)
+                })
+                scale = oracle_poly_mul(func_factor, c_poly)
+                _oracle_add_term(out, (char, new_mono),
+                                 _oracle_scale(oracle_poly_mul(scale, coeff), sign))
+        for pos, g in enumerate(mono):
+            prefix, suffix = mono[:pos], mono[pos + 1:]
+            pos_sign = -1 if pos % 2 else 1
+            for piece_coeff, piece_mono in gen_rule(form.spec, g):
+                first = _wedge_monomials(piece_mono, suffix)
+                if first is None:
+                    continue
+                s1, tail = first
+                second = _wedge_monomials(prefix, tail)
+                if second is None:
+                    continue
+                s2, new_mono = second
+                product = oracle_poly_mul(piece_coeff, coeff)
+                _oracle_add_term(out, (char, new_mono),
+                                 _oracle_scale(product, pos_sign * s1 * s2))
+    return InvariantForm(form.spec, out)
+
+
+def oracle_dbar(form):
+    return _oracle_derivation(form, _oracle_dbar_rule, (ANTI, 0), ORACLE_U)
+
+
+def oracle_del(form):
+    return _oracle_derivation(
+        form, _oracle_del_rule, (HOLO, 0), ORACLE_U_MINUS_ONE
+    )
+
+
+def oracle_d(form):
+    out = dict(oracle_del(form).terms)
+    for key, coeff in oracle_dbar(form).terms.items():
+        _oracle_add_term(out, key, coeff)
+    return InvariantForm(form.spec, out)
+
+
+def oracle_conjugate(form):
+    out = {}
+    for (char, mono), coeff in form.terms.items():
+        flipped = [(ANTI if kind == HOLO else HOLO, idx) for kind, idx in mono]
+        inversions = sum(
+            1 for a, b in itertools.combinations(flipped, 2) if a > b
+        )
+        _oracle_add_term(
+            out,
+            (-char, tuple(sorted(flipped))),
+            _oracle_scale(oracle_poly_conjugate(coeff), (-1) ** inversions),
+        )
+    return InvariantForm(form.spec, out)
+
+
+def oracle_wedge(x, y):
+    out = {}
+    for (c1, m1), p1 in x.terms.items():
+        for (c2, m2), p2 in y.terms.items():
+            merged = _wedge_monomials(m1, m2)
+            if merged is None:
+                continue
+            sign, mono = merged
+            _oracle_add_term(out, (c1 + c2, mono),
+                             _oracle_scale(oracle_poly_mul(p1, p2), sign))
+    return InvariantForm(x.spec, out)

@@ -219,6 +219,10 @@ def test_validate_rejects_lattice_of_wrong_size(tmp_path, capsys):
     spec = write_json(tmp_path, "s.json", dict(GENERIC_DOC, lattice=lattice))
     code, out, _ = run(capsys, "validate", spec)
     assert (code, out) == (1, "invalid: lattice matrix is 3x3, expected 2x2")
+    for argv in (("aut", "search", "--t", "1", "--bound", "1"), ("aut", "cosets")):
+        code, out, err = run(capsys, *argv, spec)
+        assert (code, out) == (1, "")
+        assert err == "error: lattice matrix is 3x3, expected 2x2"
 
 
 def test_float_weights_rejected(tmp_path, capsys):

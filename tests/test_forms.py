@@ -21,6 +21,12 @@ from nakamura.model import SpecError, TauSpec
 from nakamura.scalars import Poly, U, qvector_poly
 
 from support import (
+    is_canonical,
+    oracle_conjugate,
+    oracle_d,
+    oracle_dbar,
+    oracle_del,
+    oracle_wedge,
     random_character,
     random_form,
     random_spec,
@@ -229,3 +235,33 @@ def test_rendering():
     assert str(InvariantForm.zero(s)) == "0"
     assert str(InvariantForm.one(s)) == "1"
     assert str(phi(s, 2) + phi(s, 1)) == "phi1  +  phi2"
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is in the test extra; skip without it
+    given = None
+
+if given is not None:
+    from strategies import specs
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(specs(max_n=4, min_dim=1), st.randoms(use_true_random=False))
+    def test_form_engine_matches_reference(s, rng):
+        """Multi-term forms of every degree, with characters and polynomial
+        coefficients, against the engine without fast paths."""
+        for degree in range(2 * s.n + 3):
+            x = random_form(s, rng, degree=degree)
+            y = random_form(s, rng, degree=rng.randint(0, 2))
+            results = {
+                "d": (d(x), oracle_d(x)),
+                "del_": (del_(x), oracle_del(x)),
+                "dbar": (dbar(x), oracle_dbar(x)),
+                "conjugate": (conjugate(x), oracle_conjugate(x)),
+                "wedge": (wedge(x, y), oracle_wedge(x, y)),
+            }
+            for name, (got, want) in results.items():
+                assert got == want, (name, degree)
+                assert all(map(is_canonical, got.terms.values())), (name, degree)
+            assert del_(results["del_"][0]).is_zero()
+            assert dbar(results["dbar"][0]).is_zero()

@@ -14,6 +14,14 @@ from nakamura.scalars import (
     smith_normal_form,
 )
 
+from support import (
+    is_canonical,
+    oracle_poly_add,
+    oracle_poly_conjugate,
+    oracle_poly_mul,
+    poly_evaluate,
+)
+
 
 def test_rational_vector_basics():
     v = RationalVector([Fraction(1, 2), -1])
@@ -51,8 +59,8 @@ def test_poly_arithmetic():
     q = U * b1 - 2 * U + b1 - 2
     assert p == q
     assert (p - q).is_zero()
-    assert p.evaluate({"u": Fraction(1, 3), "b1": 5}) == Fraction(4, 3) * 3
-    assert (b1 ** 3).evaluate({"b1": 2}) == 8
+    assert poly_evaluate(p, {"u": Fraction(1, 3), "b1": 5}) == Fraction(4, 3) * 3
+    assert poly_evaluate(b1 ** 3, {"b1": 2}) == 8
 
 
 def test_poly_conjugate_involution():
@@ -169,3 +177,59 @@ def test_smith_normal_form_random_properties():
         for x in diag:
             prod *= x
         assert prod == abs(m.det())
+
+
+def _terms_from_sympy(sympy, expr):
+    names = ("u", "q", "b1", "b2", "b10")
+    gens = sympy.symbols(names)
+    return {
+        tuple((name, e) for name, e in zip(names, exps) if e):
+            Fraction(int(c.p), int(c.q))
+        for exps, c in sympy.Poly(expr, *gens).as_dict().items()
+    }
+
+
+def _to_sympy(sympy, p):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(name) ** e for name, e in mono))
+        for mono, c in p.terms.items()
+    ))
+
+
+try:
+    from hypothesis import given, settings
+except ImportError:  # hypothesis is in the test extra; skip without it
+    given = None
+
+if given is not None:
+    from strategies import POLYS, SCALARS
+
+    PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+    @PROPERTY
+    @given(POLYS, POLYS, SCALARS)
+    def test_poly_results_stay_canonical(p, q, k):
+        conj = poly_conjugate(p)
+        for r in (p + q, p - q, p - p, -p, p * q, p * k, k * p, p + k,
+                  k - p, conj, conj + p, p * p * q):
+            assert is_canonical(r), r
+        assert p + q == oracle_poly_add(p, q)
+        assert p * q == oracle_poly_mul(p, q)
+        assert p * k == oracle_poly_mul(p, Poly.constant(k))
+        assert conj == oracle_poly_conjugate(p)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(POLYS, POLYS)
+    def test_poly_products_and_conjugates_match_sympy(p, q):
+        sympy = pytest.importorskip("sympy")
+        u = sympy.Symbol("u")
+        x, y = _to_sympy(sympy, p), _to_sympy(sympy, q)
+        assert (p * q).terms == _terms_from_sympy(sympy, sympy.expand(x * y))
+        # the cross terms cancel inside one product
+        assert ((p + q) * (p - q)).terms == _terms_from_sympy(
+            sympy, sympy.expand(x * x - y * y)
+        )
+        assert poly_conjugate(p).terms == _terms_from_sympy(
+            sympy, sympy.expand(x.subs(u, 1 - u))
+        )
