@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -530,16 +531,27 @@ def betti_numbers(s: ManifoldSpec) -> Tuple[int, ...]:
 _ORACLE_PRIME = (1 << 61) - 1
 
 
-def _ce_weight_key(mono: IndexSet, weights: Sequence[IntVector]) -> IntVector:
-    """Torus weight of a CE basis monomial: the sum of the integer weights
-    of its generators ``g >= 2`` (``e_i`` and ``f_i`` both weigh
-    ``weights[i - 1]``; ``e0`` and ``f0`` weigh nothing)."""
-    key = [0] * len(weights[0])
-    for g in mono:
-        if g >= 2:
-            for j, x in enumerate(weights[(g - 2) // 2]):
-                key[j] += x
-    return tuple(key)
+CE_MAX_N = 7  # the CE basis holds 2^(2n+2) monomials; n = 7 takes seconds
+
+
+def _ce_weight_keys(weights: Sequence[IntVector]) -> List[IntVector]:
+    """Torus weight of every CE basis monomial, indexed by its bitmask.
+
+    Bit ``g`` of a mask stands for generator ``g``: ``e0 = 0``, ``f0 = 1``,
+    ``e_i = 2i`` and ``f_i = 2i + 1``.  ``e_i`` and ``f_i`` both weigh
+    ``weights[i - 1]``; ``e0`` and ``f0`` weigh nothing.  A DP over the
+    masks adds the weight of a mask's lowest bit to the key of the mask
+    without it.
+    """
+    keys = [(0,) * len(weights[0])] * (1 << (2 * len(weights) + 2))
+    for mask in range(1, len(keys)):
+        rest = mask & (mask - 1)
+        g = (mask ^ rest).bit_length() - 1
+        if g < 2:
+            keys[mask] = keys[rest]
+        else:
+            keys[mask] = tuple(map(operator.add, keys[rest], weights[g // 2 - 1]))
+    return keys
 
 
 def _ce_weight_blocks(s: ManifoldSpec):
@@ -548,70 +560,91 @@ def _ce_weight_blocks(s: ManifoldSpec):
     Basis of degree one: ``e0, f0, e1, f1, .. , en, fn`` in that order, with
     ``d(e_i) = -lambda_i (e0 - q f0) ^ e_i`` and likewise for ``f_i``; ``q``
     stands for ``Re(tau)/Im(tau)``.  The weights are scaled by their common
-    denominator, which scales ``d`` and changes no rank.  Each basis
-    monomial lies in the block of its :func:`_ce_weight_key`; an entry
-    linking two blocks raises ``ArithmeticError``, so the split is checked,
-    not assumed.  Returns ``(k, rows, cols, entries)`` for every block of
-    ``d_k`` with a nonzero entry; ``entries`` lists ``(row, col, nu,
-    with_q)`` for the entry ``nu . b``, times ``q`` when ``with_q``.
+    denominator, which scales ``d`` and changes no rank.  A basis monomial
+    is a bitmask (see :func:`_ce_weight_keys`) and lies in the block of its
+    weight key.  By the Leibniz rule ``d`` sends a monomial ``x`` to
+    multiples of ``e0 ^ x`` and ``f0 ^ x``; each of the two entries sums the
+    terms of the weighted generators ``g`` of ``x``, signed ``(-1)^pos``
+    (the place of ``g`` in ``x``) times the sign of merging the pair
+    ``(e0, g)`` or ``(f0, g)`` into the rest of ``x``, both read off
+    popcounts.  An entry linking two blocks raises ``ArithmeticError``, so
+    the split is checked, not assumed.  Returns ``(k, key, rows, cols,
+    entries)`` for every block of ``d_k`` with a nonzero entry; ``entries``
+    lists ``(row, col, nu, with_q)`` for the entry ``nu . b``, times ``q``
+    when ``with_q``.
     """
-    m = 2 * s.n + 2
     _, weights = _integer_weights(s)
+    keys = _ce_weight_keys(weights)
     sizes: Dict[Tuple[int, IntVector], int] = {}
-    place: Dict[IndexSet, Tuple[IntVector, int]] = {}
-    for k in range(m + 1):
-        for mono in itertools.combinations(range(m), k):
-            key = _ce_weight_key(mono, weights)
-            index = sizes.get((k, key), 0)
-            sizes[(k, key)] = index + 1
-            place[mono] = (key, index)
+    index = [0] * len(keys)
+    for mask, key in enumerate(keys):
+        block = (mask.bit_count(), key)
+        index[mask] = sizes.get(block, 0)
+        sizes[block] = index[mask] + 1
 
-    entries: Dict[Tuple[int, IntVector], Dict[Tuple[int, int], tuple]] = {}
-    for mono, (key, col) in place.items():
-        k = len(mono)
-        for pos, g in enumerate(mono):
-            lam = weights[(g - 2) // 2] if g >= 2 else ()
-            if not any(lam):
+    weighted = [
+        (1 << g, (1 << g) - 1, weights[g // 2 - 1])
+        for g in range(2, 2 * s.n + 2)
+        if any(weights[g // 2 - 1])
+    ]
+    entries: Dict[Tuple[int, IntVector], list] = {}
+    for mask, key in enumerate(keys):
+        terms = []
+        for bit, below, lam in weighted:
+            if mask & bit:
+                rest = mask ^ bit
+                # (-1)^pos for the place of g in x, times the sign of moving
+                # g past the generators of the rest below it
+                parity = (mask & below).bit_count() + (rest & below).bit_count()
+                terms.append((rest, parity, lam))
+        if not terms:
+            continue
+        for lead, scale in ((0, -1), (1, 1)):
+            if mask >> lead & 1:
                 continue
-            rest = mono[:pos] + mono[pos + 1:]
-            for pair, scale, with_q in (((0, g), -1, False), ((1, g), 1, True)):
-                merged = forms._wedge_monomials(pair, rest)
-                if merged is None:
-                    continue
-                sign, row_mono = merged
-                row_key, row = place[row_mono]
-                if row_key != key:
-                    raise ArithmeticError(
-                        f"CE differential entry from {mono} to {row_mono} "
-                        f"links weight blocks {key} and {row_key}"
-                    )
-                coeff = (-1 if pos % 2 else 1) * sign * scale
-                block = entries.setdefault((k, key), {})
-                nu, _ = block.setdefault((row, col), ([0] * len(lam), with_q))
+            row = mask | 1 << lead
+            if keys[row] != key:
+                raise ArithmeticError(
+                    f"CE differential entry from monomial {mask:#b} to "
+                    f"{row:#b} links weight blocks {key} and {keys[row]}"
+                )
+            # merging also moves the lead past the generators below it
+            below_lead = (1 << lead) - 1
+            nu = [0] * len(key)
+            for rest, parity, lam in terms:
+                parity += (rest & below_lead).bit_count()
+                coeff = -scale if parity & 1 else scale
                 for j, x in enumerate(lam):
                     nu[j] += coeff * x
-    blocks = []
-    for (k, key), block in entries.items():
-        live = [(r, c, nu, w) for (r, c), (nu, w) in block.items() if any(nu)]
-        if live:
-            blocks.append((k, sizes[(k + 1, key)], sizes[(k, key)], live))
-    return blocks
+            if any(nu):
+                entries.setdefault((mask.bit_count(), key), []).append(
+                    (index[row], index[mask], nu, lead == 1)
+                )
+    return [
+        (k, key, sizes[(k + 1, key)], sizes[(k, key)], block)
+        for (k, key), block in entries.items()
+    ]
 
 
 def _rank_mod_p(rows: List[List[int]], p: int) -> int:
-    """Rank modulo the prime ``p`` by row reduction; ``rows`` is consumed."""
+    """Rank modulo the prime ``p`` by row reduction; ``rows`` is consumed.
+
+    Eliminates without inverses: below a pivot ``a`` each row becomes
+    ``a * row - f * pivot_row`` with ``f`` its entry in the pivot column.
+    Scaling a row by ``a``, nonzero modulo ``p``, leaves the rank unchanged.
+    """
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        lead = [x * inv % p for x in rows[rank]]
+        lead = rows[rank]
+        a = lead[col]
         for i in range(rank + 1, len(rows)):
             f = rows[i][col]
             if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], lead)]
         rank += 1
     return rank
 
@@ -629,21 +662,28 @@ def ce_betti_oracle(s: ManifoldSpec) -> Tuple[int, ...]:
     modulo the prime ``2**61 - 1`` at random integer values of ``q`` and the
     basis symbols, three points per round for up to eight rounds.  The
     per-degree maximum rank across points is used, and at least three
-    points must agree on the whole rank vector.
+    points must agree on the whole rank vector.  Specs with ``n`` above
+    ``CE_MAX_N`` raise ``SpecError`` before anything is built: the basis
+    holds ``2^(2n+2)`` monomials.
     """
     require_valid(s)
     _check_enumeration_size(s)
-    blocks = _ce_weight_blocks(s)
     m = 2 * s.n + 2
+    if s.n > CE_MAX_N:
+        raise SpecError(
+            f"n = {s.n} exceeds the CE oracle cap {CE_MAX_N}: its basis "
+            f"would hold 2^{m} = {1 << m:,} monomials"
+        )
+    blocks = _ce_weight_blocks(s)
     p = _ORACLE_PRIME
     rng = random.Random(20260822 + 1000 * s.n + s.basis_dim)
 
     def rank_vector_at(q: int, b: Sequence[int]) -> Tuple[int, ...]:
         ranks = [0] * (m + 1)
-        for k, rows, cols, entries in blocks:
+        for k, _key, rows, cols, entries in blocks:
             dense = [[0] * cols for _ in range(rows)]
             for r, c, nu, with_q in entries:
-                x = sum(a * y for a, y in zip(nu, b))
+                x = sum(map(operator.mul, nu, b))
                 dense[r][c] = (x * q if with_q else x) % p
             ranks[k] += _rank_mod_p(dense, p)
         return tuple(ranks)
